@@ -14,16 +14,7 @@ import (
 
 	"mglrusim"
 	"mglrusim/internal/experiments"
-	"mglrusim/internal/workload/filescan"
 )
-
-// newFileScan builds the file-I/O-heavy synthetic workload used by the
-// tier/PID ablation.
-func newFileScan() mglrusim.Workload {
-	cfg := filescan.DefaultConfig()
-	cfg.Rounds = 4
-	return filescan.New(cfg)
-}
 
 // benchOpts are the reduced-methodology options shared by the figure
 // benchmarks. One shared runner caches series across benchmarks, as the
@@ -242,26 +233,6 @@ func fmtProb(p float64) string {
 	}
 }
 
-// BenchmarkAblationTierPID exercises the PID-controlled tier protection
-// (§III-D) under a file-I/O-heavy synthetic workload — the scenario the
-// paper leaves to future work. It compares protection on vs off.
-func BenchmarkAblationTierPID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(protect bool) float64 {
-			cfg := mglrusim.MGLRUDefault()
-			cfg.TierProtection = protect
-			m, err := mglrusim.RunTrial(newFileScan(),
-				func() mglrusim.Policy { return mglrusim.NewMGLRUWith(cfg) },
-				mglrusim.DefaultSystemConfig(), 42, uint64(i)+1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return m.RuntimeSeconds()
-		}
-		b.ReportMetric(run(false)/run(true), "off/on-runtime")
-	}
-}
-
 // BenchmarkAblationGenerationCount sweeps MaxGens between the kernel
 // default (4) and Gen-14 (2^14) through an intermediate point.
 func BenchmarkAblationGenerationCount(b *testing.B) {
@@ -362,28 +333,6 @@ func BenchmarkAblationSwapLatencySweep(b *testing.B) {
 			}
 			ratio := run(mglrusim.NewClock) / run(mglrusim.NewMGLRU)
 			b.ReportMetric(ratio, fmt.Sprintf("clock/mglru-%dus", lat/mglrusim.Microsecond))
-		}
-	}
-}
-
-// BenchmarkTieringPolicies compares page-migration policies over a
-// two-tier memory (the paper's §II-C landscape): static placement,
-// AutoNUMA-style sampling without demotion, and Clock-based TPP.
-func BenchmarkTieringPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"static", "autonuma", "tpp"} {
-			res, err := mglrusim.RunTieringTrial(mglrusim.TieringTrialConfig{
-				Policy:    name,
-				Footprint: 2048,
-				FastPages: 512,
-				SlowPages: 1664,
-				Touches:   100000,
-				Seed:      uint64(i) + 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.FastHitRatio, "fasthit-"+name)
 		}
 	}
 }

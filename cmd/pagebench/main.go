@@ -1,5 +1,4 @@
-// Command pagebench regenerates the paper's figures on the simulator and
-// runs the benchmark-regression suite.
+// Command pagebench regenerates the paper's figures on the simulator.
 //
 // Usage:
 //
@@ -16,15 +15,12 @@
 //	pagebench -figure all -checkpoint ckpt/ -workers 4         # multi-process scale-out
 //	pagebench -figure all -faults severe -watchdog 60s...      # fault injection
 //
-//	pagebench -bench full -benchjson BENCH_PR5.json            # measure
-//	pagebench -bench smoke -baseline BENCH_PR5.json            # regression check
 //	pagebench -figure all -cpuprofile cpu.pb.gz                # profile
 //
 // Each figure prints a plain-text table whose rows correspond to the
-// series plotted in the paper. Bench mode runs named micro/macro
-// benchmarks plus a timed figure sweep, writes machine-readable JSON, and
-// (with -baseline) exits non-zero if any result regressed past the
-// tolerance.
+// series plotted in the paper. Host-time benchmarks live elsewhere: the
+// micro paths in internal/bench (go test -bench) and the end-to-end
+// workloads in the benchmark/ module (bash benchmark/run.sh).
 //
 // With -checkpoint, every completed series is persisted to the given
 // directory; an interrupted run (SIGINT or SIGKILL) resumed with the same
@@ -56,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"mglrusim/internal/bench"
 	"mglrusim/internal/checkpoint"
 	"mglrusim/internal/experiments"
 	"mglrusim/internal/fault"
@@ -135,12 +130,6 @@ func realMain() int {
 		traceDir        = flag.String("trace", "", "write per-trial telemetry (Chrome trace JSON, counter CSV, flight dumps) into this directory")
 		metricsInterval = flag.Duration("metrics-interval", 0, "virtual-time cadence of counter snapshots in traced runs (simulated time; 0 = 10ms)")
 
-		benchSize = flag.String("bench", "", "run the benchmark suite instead of figures: 'full' or 'smoke'")
-		benchJSON = flag.String("benchjson", "", "write the benchmark report as JSON to this path")
-		baseline  = flag.String("baseline", "", "compare the benchmark report against this committed baseline JSON")
-		tolerance = flag.Float64("tolerance", 0.25, "allowed relative slowdown vs the baseline (0.25 = 25%)")
-		preSecs   = flag.Float64("prebaseline", 0, "pre-optimization figure-run seconds to record in the report")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -194,10 +183,6 @@ func realMain() int {
 				fmt.Fprintf(os.Stderr, "pagebench: write heap profile: %v\n", err)
 			}
 		})
-	}
-
-	if *benchSize != "" {
-		return runBench(*benchSize, *benchJSON, *baseline, *tolerance, *preSecs, *verbose)
 	}
 
 	// Resolve the run profile before anything consumes the methodology
@@ -312,69 +297,6 @@ func realMain() int {
 		owner:           *owner,
 		workerArgs:      workerArgs,
 	})
-}
-
-func runBench(sizeName, jsonPath, baselinePath string, tolerance, preSecs float64, verbose bool) int {
-	var size bench.Size
-	switch sizeName {
-	case "full":
-		size = bench.Full()
-	case "smoke":
-		size = bench.Smoke()
-	default:
-		fatalf("unknown bench size %q (known: full, smoke)", sizeName)
-	}
-
-	cfg := bench.Config{Size: size, PrePR2FigureRunSeconds: preSecs}
-	if verbose {
-		cfg.Progress = os.Stderr
-	}
-
-	var base *bench.Report
-	if baselinePath != "" {
-		var err error
-		base, err = bench.LoadReport(baselinePath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// Carry the pre-optimization reference forward unless overridden —
-		// only between reports of the same size, since the figure sweep
-		// differs across sizes.
-		if cfg.PrePR2FigureRunSeconds == 0 && base.Size.Name == size.Name {
-			cfg.PrePR2FigureRunSeconds = base.PrePR2FigureRunSeconds
-		}
-	}
-
-	rep, err := bench.RunReport(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-20s %14.0f ns/op %12.1f allocs/op %14.0f B/op  (%d ops)\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Ops)
-	}
-	fmt.Printf("%-20s %14.2f s (figures: %s, trials=%d, scale=%g)\n",
-		"figure-run", rep.FigureRunSeconds, strings.Join(rep.Size.Figures, ","), rep.Size.Trials, rep.Size.Scale)
-	if rep.Speedup > 0 {
-		fmt.Printf("%-20s %14.2fx vs pre-PR2 %.2fs\n", "speedup", rep.Speedup, rep.PrePR2FigureRunSeconds)
-	}
-
-	if jsonPath != "" {
-		if err := rep.WriteFile(jsonPath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if base != nil {
-		regs := bench.Compare(base, rep, tolerance)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "pagebench: REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 {
-			return 1
-		}
-		fmt.Printf("no regressions vs %s (tolerance %.0f%%)\n", baselinePath, tolerance*100)
-	}
-	return 0
 }
 
 type figureConfig struct {

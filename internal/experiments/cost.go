@@ -5,16 +5,14 @@ import "mglrusim/internal/core"
 // The cell cost model: a relative virtual-cost estimate for one series,
 // used by the shard executor's longest-processing-time-first bin packing.
 // Absolute accuracy does not matter — only the ordering does — so the
-// weights are coarse ratios read off the BENCH macro measurements
-// (fig1-series vs the whole figure run) and the per-policy micro
-// benchmarks (clock-scan's rmap pointer-chase makes Clock reclaim ~1.6x
-// an MG-LRU aging walk per reclaimed page; the scan-free simple policies
-// skip both).
+// weights are coarse ratios of per-workload series cost and of the
+// per-policy micro benchmarks in internal/bench (clock-scan's rmap
+// pointer-chase makes Clock reclaim ~1.6x an MG-LRU aging walk per
+// reclaimed page; the scan-free simple policies skip both).
 var (
 	costByWorkload = map[string]float64{
 		"tpch":     3.0, // largest footprint, scan-heavy batch phases
 		"pagerank": 2.2, // graph chase, high fault density
-		"filescan": 1.4,
 		"ycsb-a":   1.0,
 		"ycsb-b":   1.0,
 		"ycsb-c":   0.9, // read-only: no dirty writeback on eviction

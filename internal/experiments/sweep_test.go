@@ -145,6 +145,25 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// TestCostTablesUseRegisteredNames: every weight in the cell cost model
+// names a registered workload or policy, so a deleted or renamed one
+// cannot leave an entry no cell ever looks up.
+func TestCostTablesUseRegisteredNames(t *testing.T) {
+	check := func(kind string, table map[string]float64, names []string) {
+		known := map[string]bool{}
+		for _, n := range names {
+			known[n] = true
+		}
+		for n := range table {
+			if !known[n] {
+				t.Errorf("cost table weighs unregistered %s %q", kind, n)
+			}
+		}
+	}
+	check("workload", costByWorkload, WorkloadNames())
+	check("policy", costByPolicy, PolicyNames())
+}
+
 // TestSummarizeSeriesBlob: a stored envelope digests to the right
 // summary; garbage and wrong-version blobs are rejected.
 func TestSummarizeSeriesBlob(t *testing.T) {

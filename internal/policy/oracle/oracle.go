@@ -254,9 +254,9 @@ func (h optHeap) Less(i, j int) bool {
 	}
 	return h[i].vpn > h[j].vpn // deterministic tie-break
 }
-func (h optHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x any)    { *h = append(*h, x.(optEntry)) }
-func (h *optHeap) Pop() any      { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h optHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *optHeap) Push(x any)   { *h = append(*h, x.(optEntry)) }
+func (h *optHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 var (
 	_ policy.Policy       = (*ExactLRU)(nil)

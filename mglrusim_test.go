@@ -158,31 +158,3 @@ func TestPublicFigureRegistry(t *testing.T) {
 		t.Fatal("figure registry incomplete")
 	}
 }
-
-func TestPublicTieringTrial(t *testing.T) {
-	res, err := mglrusim.RunTieringTrial(mglrusim.TieringTrialConfig{
-		Policy:    "tpp",
-		Footprint: 512,
-		FastPages: 128,
-		SlowPages: 416,
-		Touches:   20000,
-		Seed:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastHitRatio <= 0 || res.Runtime <= 0 {
-		t.Fatalf("implausible result: %+v", res)
-	}
-	if res.Promotions == 0 {
-		t.Fatal("tpp never promoted")
-	}
-	if _, err := mglrusim.MigrationPolicyByName("nope"); err == nil {
-		t.Fatal("unknown migration policy accepted")
-	}
-	if _, err := mglrusim.RunTieringTrial(mglrusim.TieringTrialConfig{
-		Policy: "tpp", Footprint: 100, FastPages: 10, SlowPages: 10, Touches: 10,
-	}); err == nil {
-		t.Fatal("undersized tiers accepted")
-	}
-}
