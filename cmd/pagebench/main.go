@@ -9,7 +9,7 @@
 //	pagebench -figure ext3           # extension: degraded FILE device (page cache)
 //	pagebench -trials 25 -scale 1.0  # methodology knobs
 //	pagebench -size fullscale -figure fig1   # native 3-4M-page footprints, 512-PTE regions
-//	pagebench -layout legacy         # force the AoS page-table layout
+//	pagebench -region 512 -figure fig1       # region fanout (a multiple of 64)
 //
 //	pagebench -figure all -checkpoint ckpt/                    # crash-safe runs
 //	pagebench -figure all -checkpoint ckpt/ -workers 4         # multi-process scale-out
@@ -55,7 +55,6 @@ import (
 	"mglrusim/internal/checkpoint"
 	"mglrusim/internal/experiments"
 	"mglrusim/internal/fault"
-	"mglrusim/internal/pagetable"
 	"mglrusim/internal/shard"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/telemetry"
@@ -107,8 +106,7 @@ func realMain() int {
 		trials   = flag.Int("trials", 25, "trials per configuration (paper: 25)")
 		scale    = flag.Float64("scale", 1.0, "workload footprint scale factor")
 		size     = flag.String("size", "scaled", "run profile: 'scaled' (calibrated 1/1000 footprints) or 'fullscale' (native 3-4M-page footprints, 512-PTE regions, 3 trials; explicit -scale/-region/-trials still win)")
-		region   = flag.Int("region", 0, "page-table region fanout in PTEs (0 = profile default; kernel PMDs are 512)")
-		layout   = flag.String("layout", "auto", "page-table storage layout: auto, legacy, packed")
+		region   = flag.Int("region", 0, "page-table region fanout in PTEs, a multiple of 64 (0 = profile default; kernel PMDs are 512)")
 		seed     = flag.Uint64("seed", 0x5EED, "base seed")
 		parallel = flag.Int("parallel", 0, "concurrent trials (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "print per-series progress")
@@ -206,9 +204,10 @@ func realMain() int {
 	default:
 		fatalf("unknown run profile %q (known: scaled, fullscale)", *size)
 	}
-	lay, ok := pagetable.ParseLayout(*layout)
-	if !ok {
-		fatalf("unknown page-table layout %q (known: auto, legacy, packed)", *layout)
+	// Every region must own whole 64-bit words of the page table's bit
+	// planes; reject a bad fanout here, before any worker or trial starts.
+	if *region < 0 || *region%64 != 0 {
+		fatalf("-region %d: the page-table region fanout must be a multiple of 64", *region)
 	}
 
 	plan, ok := fault.Preset(*faults)
@@ -241,7 +240,6 @@ func realMain() int {
 			"-trials", strconv.Itoa(*trials),
 			"-scale", strconv.FormatFloat(*scale, 'g', -1, 64),
 			"-region", strconv.Itoa(*region),
-			"-layout", lay.String(),
 			"-seed", strconv.FormatUint(*seed, 10),
 			"-parallel", strconv.Itoa(perWorker),
 			"-checkpoint", *ckptDir,
@@ -277,7 +275,6 @@ func realMain() int {
 		trials:          *trials,
 		scale:           *scale,
 		region:          *region,
-		layout:          lay,
 		seed:            *seed,
 		parallel:        *parallel,
 		verbose:         *verbose,
@@ -304,7 +301,6 @@ type figureConfig struct {
 	trials          int
 	scale           float64
 	region          int
-	layout          pagetable.Layout
 	seed            uint64
 	parallel        int
 	verbose         bool
@@ -371,7 +367,6 @@ func runFigures(cfg figureConfig) int {
 		Trials:          cfg.trials,
 		Scale:           cfg.scale,
 		RegionPTEs:      cfg.region,
-		Layout:          cfg.layout,
 		Seed:            cfg.seed,
 		Parallelism:     cfg.parallel,
 		Audit:           cfg.audit,

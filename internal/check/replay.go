@@ -47,15 +47,8 @@ func RecordTrace(w workload.Workload, planSeed, trialSeed uint64, maxOps int) []
 // TableFor builds a fresh page table laid out for w — Replay needs a new
 // table per policy run, so callers pass this as a constructor.
 func TableFor(w workload.Workload) func() *pagetable.Table {
-	return TableForLayout(w, pagetable.LayoutAuto)
-}
-
-// TableForLayout is TableFor with an explicit page-table storage layout,
-// so differential runs can pin the legacy AoS and packed SoA layouts
-// against each other.
-func TableForLayout(w workload.Workload, layout pagetable.Layout) func() *pagetable.Table {
 	return func() *pagetable.Table {
-		t := pagetable.NewWithLayout(w.TableRegions(), w.RegionPTEs(), layout)
+		t := pagetable.NewWithRegionSize(w.TableRegions(), w.RegionPTEs())
 		w.Layout(t)
 		return t
 	}

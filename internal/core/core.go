@@ -40,6 +40,16 @@ func (k SwapKind) String() string {
 	return "ssd"
 }
 
+// PageTableLayout is a frozen, single-valued config field. It once chose
+// between two page-table storage layouts; only one remains, so the value
+// is always 0 and selects nothing. It is kept so that the %+v cache keys
+// ("PageTable:auto") and JSON checkpoint envelopes ("PageTable":0) of
+// every stored series stay byte-identical.
+type PageTableLayout uint8
+
+// String implements fmt.Stringer with the historical cache-key spelling.
+func (PageTableLayout) String() string { return "auto" }
+
 // SystemConfig describes the machine surrounding the workload.
 type SystemConfig struct {
 	// CPUs is the number of hardware contexts (the paper's testbed
@@ -77,10 +87,8 @@ type SystemConfig struct {
 	// mismatch is a configuration error, not a silent re-layout. Zero
 	// accepts whatever fanout the workload was built with.
 	RegionPTEs int
-	// PageTable selects the page-table storage layout (auto, legacy AoS,
-	// or packed SoA bit planes). The zero value LayoutAuto picks packed
-	// whenever the fanout allows it.
-	PageTable pagetable.Layout
+	// PageTable is always zero and selects nothing; see PageTableLayout.
+	PageTable PageTableLayout
 	// PageCache, when Enabled, gives file-backed mappings a real page
 	// cache: reads come from a dedicated file device instead of swap,
 	// dirty pages write back through a clustered flusher daemon, and
@@ -249,7 +257,7 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	eng := sim.NewEngine(sys.CPUs)
 	sysRNG := sim.NewRNG(systemSeed)
 
-	table := pagetable.NewWithLayout(w.TableRegions(), w.RegionPTEs(), sys.PageTable)
+	table := pagetable.NewWithRegionSize(w.TableRegions(), w.RegionPTEs())
 	w.Layout(table)
 	footprint := w.FootprintPages()
 	capacity := int(float64(footprint) * sys.Ratio)

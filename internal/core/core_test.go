@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mglrusim/internal/policy"
@@ -12,6 +15,23 @@ import (
 	"mglrusim/internal/workload/tpch"
 	"mglrusim/internal/workload/ycsb"
 )
+
+// TestPageTableFieldFrozen pins the encodings of the vestigial PageTable
+// field: cache keys (%+v) and checkpoint envelopes (JSON) of every stored
+// series contain them, so changing either would orphan existing stores.
+func TestPageTableFieldFrozen(t *testing.T) {
+	sys := DefaultSystemConfig()
+	if key := fmt.Sprintf("%+v", sys); !strings.Contains(key, " PageTable:auto ") {
+		t.Errorf("%%+v encoding lost PageTable:auto: %s", key)
+	}
+	js, err := json.Marshal(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"PageTable":0,`) {
+		t.Errorf("JSON encoding lost \"PageTable\":0: %s", js)
+	}
+}
 
 func clockFactory() policy.Policy { return clock.New(clock.DefaultConfig()) }
 func mglruFactory() policy.Policy { return mglru.New(mglru.Default()) }

@@ -58,6 +58,28 @@ func TestCellsForMatchesExecution(t *testing.T) {
 	}
 }
 
+// TestDefaultFanoutOneKey: an explicit default region fanout and the
+// unset knob lay workloads out identically, so they must file results
+// under identical keys rather than storing each series twice.
+func TestDefaultFanoutOneKey(t *testing.T) {
+	keys := func(region int) []string {
+		cells, err := CellsFor(Options{Trials: 1, Scale: 0.1, Seed: 0xABC, RegionPTEs: region}, Figures["fig1"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(cells))
+		for i, c := range cells {
+			out[i] = c.Key
+		}
+		return out
+	}
+	unset, explicit := keys(0), keys(workload.DefaultRegionPTEs)
+	if strings.Join(unset, "\n") != strings.Join(explicit, "\n") {
+		t.Fatalf("RegionPTEs %d forks cache keys from the unset default:\n%s\nvs\n%s",
+			workload.DefaultRegionPTEs, explicit[0], unset[0])
+	}
+}
+
 // TestCellsForExecutesNothing: enumeration must not run trials or build
 // workloads (it must be near-free even for the full figure set).
 func TestCellsForExecutesNothing(t *testing.T) {

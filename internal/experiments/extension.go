@@ -105,14 +105,6 @@ func (r *DegradedResult) CSV() string {
 	return c.String()
 }
 
-// ExtDegradedSweep runs the degraded-device sweep: ycsb-a (the paper's
-// mixed read/write latency workload) on SSD swap at 50% capacity, under
-// each fault-plan severity, comparing how Clock-LRU's and MG-LRU's
-// fault-latency distributions absorb storms, stalls, and retries. Each
-// severity folds its plan into the system config, so the "none" rows
-// reuse the exact series the paper figures run (cache and checkpoint
-// included) while faulted rows get their own seeded plans — the same
-// trial seeds, since the seed key deliberately excludes the plan.
 // extCacheRatios is the ext2 cache-size ladder: memory capacity as a
 // fraction of the serve workload's footprint. The low rung starves the
 // file tier hard enough that phase shifts refault; the high rung fits
@@ -419,6 +411,14 @@ func degradedFileCell(severity, policy string, s *Series) DegradedFileRow {
 	return row
 }
 
+// ExtDegradedSweep runs the degraded-device sweep: ycsb-a (the paper's
+// mixed read/write latency workload) on SSD swap at 50% capacity, under
+// each fault-plan severity, comparing how Clock-LRU's and MG-LRU's
+// fault-latency distributions absorb storms, stalls, and retries. Each
+// severity folds its plan into the system config, so the "none" rows
+// reuse the exact series the paper figures run (cache and checkpoint
+// included) while faulted rows get their own seeded plans — the same
+// trial seeds, since the seed key deliberately excludes the plan.
 func ExtDegradedSweep(r *Runner) (Result, error) {
 	w := r.workloadByName("ycsb-a")
 	res := &DegradedResult{Workload: w.Name}

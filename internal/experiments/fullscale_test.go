@@ -26,8 +26,8 @@ func fullScaleSmokeOptions(parallelism int) Options {
 // TestFullScaleSmokeDeterminism runs the capped full-scale profile twice —
 // serial and 8-wide — with the invariant auditor on, and requires the two
 // series to agree metric-for-metric: host parallelism must stay invisible
-// at the full-scale region geometry, and the audited packed-layout trials
-// must raise zero violations.
+// at the full-scale region geometry, and the audited trials must raise
+// zero violations.
 func TestFullScaleSmokeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: runs audited trials at full-scale geometry")

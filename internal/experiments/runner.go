@@ -13,7 +13,6 @@ import (
 	"mglrusim/internal/core"
 	"mglrusim/internal/fault"
 	"mglrusim/internal/pagecache"
-	"mglrusim/internal/pagetable"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/stats"
 	"mglrusim/internal/telemetry"
@@ -160,11 +159,10 @@ type Options struct {
 	// RegionPTEs is the page-table region fanout every workload is laid
 	// out with and every system is configured for — the single knob
 	// region geometry derives from (0 = workload.DefaultRegionPTEs).
-	// Full-scale runs set the kernel's 512-PTE PMD fanout.
+	// Full-scale runs set the kernel's 512-PTE PMD fanout. An explicit
+	// workload.DefaultRegionPTEs normalizes to 0, so both spellings of
+	// the default share one cache key.
 	RegionPTEs int
-	// Layout selects the page-table storage layout for every trial
-	// (auto/legacy/packed; the zero value is auto).
-	Layout pagetable.Layout
 	// Seed is the base seed; trial i of a series derives its system
 	// seed from it. The workload seed is fixed so trials are "otherwise
 	// identical executions".
@@ -245,6 +243,9 @@ func (o Options) normalized() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x5EED
+	}
+	if o.RegionPTEs == workload.DefaultRegionPTEs {
+		o.RegionPTEs = 0
 	}
 	if o.TraceDir != "" && o.MetricsInterval <= 0 {
 		o.MetricsInterval = 10 * sim.Millisecond
@@ -357,15 +358,12 @@ func (r *Runner) workload(w WorkloadSpec) workload.Workload {
 func (r *Runner) Run(w WorkloadSpec, p PolicySpec, sys core.SystemConfig) (*Series, error) {
 	// Fold the runner-wide options into the system config before
 	// fingerprinting, so a cached (or checkpointed) series is never served
-	// across a differing audit/fault/watchdog/layout setting. Configs
-	// carrying their own plan, window, fanout, or layout win over the
-	// runner-wide defaults.
+	// across a differing audit/fault/watchdog/fanout setting. Configs
+	// carrying their own plan, window, or fanout win over the runner-wide
+	// defaults.
 	sys.VMM.Audit = sys.VMM.Audit || r.opts.Audit
 	if sys.RegionPTEs == 0 {
 		sys.RegionPTEs = r.opts.RegionPTEs
-	}
-	if sys.PageTable == pagetable.LayoutAuto {
-		sys.PageTable = r.opts.Layout
 	}
 	if !sys.Fault.Enabled() && r.opts.Fault.Enabled() {
 		sys.Fault = r.opts.Fault

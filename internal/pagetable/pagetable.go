@@ -12,20 +12,12 @@
 // space layout but never populated. Those are what make naive linear scans
 // wasteful and motivate MG-LRU's bloom filter.
 //
-// Two storage layouts implement the same semantics:
-//
-//   - LayoutLegacy keeps an array of 16-byte PTE structs, the layout the
-//     simulator grew up with. Allocation is O(pages) over the whole VA
-//     span, holes included.
-//   - LayoutPacked is a struct-of-arrays form: the five PTE flag bits
-//     live in per-region uint64 bit planes, and frame/swap words live in
-//     per-region chunks materialized only for regions the layout actually
-//     maps. Aging-walk harvesting becomes word-masked bit iteration, and a
-//     4M-page table allocates O(regions), not O(pages).
-//
-// Every observable behaviour — scan order, counters, panics — is
-// identical between the layouts; the layout-differential suite holds the
-// figure pipeline to byte equality over both.
+// Storage is struct-of-arrays: the five PTE flag bits live in
+// region-aligned uint64 bit planes (a region owns whole words, hence the
+// multiple-of-64 fanout), and frame/swap words live in per-region chunks
+// materialized only for regions the layout actually maps. Aging-walk
+// harvesting is word-masked bit iteration, and construction allocates
+// O(regions), not O(pages).
 package pagetable
 
 import (
@@ -44,9 +36,6 @@ const (
 	// pass a smaller region size to New so that region counts — and with
 	// them the bloom-filter dynamics — stay in proportion.
 	PTEsPerRegion = 512
-	// PTEsPerCacheLine is how many 8-byte PTEs share a cache line; the
-	// bloom-filter density rule is expressed in these units.
-	PTEsPerCacheLine = 8
 	// PageSize in bytes.
 	PageSize = 4096
 )
@@ -63,48 +52,8 @@ const (
 // NilSwap marks a PTE with no swap slot assigned.
 const NilSwap int32 = -1
 
-// Layout selects the page-table storage representation.
-type Layout uint8
-
-const (
-	// LayoutAuto picks LayoutPacked when the region fanout is a whole
-	// number of 64-bit words (so regions own whole bit-plane words) and
-	// LayoutLegacy otherwise.
-	LayoutAuto Layout = iota
-	// LayoutLegacy is the array-of-structs PTE layout.
-	LayoutLegacy
-	// LayoutPacked is the struct-of-arrays bitset layout.
-	LayoutPacked
-)
-
-// String implements fmt.Stringer.
-func (l Layout) String() string {
-	switch l {
-	case LayoutLegacy:
-		return "legacy"
-	case LayoutPacked:
-		return "packed"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLayout maps a flag value to a Layout.
-func ParseLayout(s string) (Layout, bool) {
-	switch s {
-	case "auto", "":
-		return LayoutAuto, true
-	case "legacy":
-		return LayoutLegacy, true
-	case "packed":
-		return LayoutPacked, true
-	}
-	return LayoutAuto, false
-}
-
-// PTE is one page-table entry. On the legacy layout it is the stored
-// representation; on the packed layout it is a snapshot synthesized from
-// the bit planes.
+// PTE is a snapshot of one page-table entry, synthesized from the bit
+// planes and the region's frame/swap chunk.
 type PTE struct {
 	Frame mem.FrameID // valid when BitPresent
 	Swap  int32       // swap slot when swapped out, else NilSwap
@@ -128,16 +77,12 @@ func (p PTE) File() bool { return p.Bits&BitFile != 0 }
 
 // Table is a process page table over a contiguous span of regions.
 type Table struct {
-	layout    Layout
 	perRegion int
 	regions   int
 
-	// Legacy layout: dense PTE array. nil on the packed layout.
-	ptes []PTE
-
-	// Packed layout: one bit plane per PTE flag, region-aligned (wpr
-	// whole words per region), plus per-region frame/swap chunks
-	// materialized by MapRange only for regions the layout touches.
+	// One bit plane per PTE flag, region-aligned (wpr whole words per
+	// region), plus per-region frame/swap chunks materialized by MapRange
+	// only for regions the layout touches.
 	wpr      int
 	mapped   []uint64
 	present  []uint64
@@ -158,62 +103,33 @@ type Table struct {
 func New(regions int) *Table { return NewWithRegionSize(regions, PTEsPerRegion) }
 
 // NewWithRegionSize creates a table with a custom region fanout, used by
-// scaled-down simulations to keep region counts proportional.
+// scaled-down simulations to keep region counts proportional. The fanout
+// must be a positive multiple of 64 so every region owns whole bit-plane
+// words.
 func NewWithRegionSize(regions, perRegion int) *Table {
-	return NewWithLayout(regions, perRegion, LayoutAuto)
-}
-
-// NewWithLayout creates a table with an explicit storage layout.
-// LayoutPacked requires the region fanout to be a multiple of 64.
-func NewWithLayout(regions, perRegion int, layout Layout) *Table {
 	if regions <= 0 {
 		panic("pagetable: need at least one region")
 	}
-	if perRegion < PTEsPerCacheLine {
-		panic("pagetable: region smaller than a cache line")
+	if perRegion <= 0 || perRegion%64 != 0 {
+		panic("pagetable: region fanout must be a positive multiple of 64")
 	}
-	if layout == LayoutAuto {
-		if perRegion%64 == 0 {
-			layout = LayoutPacked
-		} else {
-			layout = LayoutLegacy
-		}
-	}
-	t := &Table{
-		layout:        layout,
+	wpr := perRegion / 64
+	words := regions * wpr
+	return &Table{
 		perRegion:     perRegion,
 		regions:       regions,
+		wpr:           wpr,
+		mapped:        make([]uint64, words),
+		present:       make([]uint64, words),
+		accessed:      make([]uint64, words),
+		dirty:         make([]uint64, words),
+		file:          make([]uint64, words),
+		frames:        make([][]mem.FrameID, regions),
+		swaps:         make([][]int32, regions),
 		regionPresent: make([]int32, regions),
 		regionSwapped: make([]int32, regions),
 	}
-	switch layout {
-	case LayoutLegacy:
-		t.ptes = make([]PTE, regions*perRegion)
-		for i := range t.ptes {
-			t.ptes[i].Frame = mem.NilFrame
-			t.ptes[i].Swap = NilSwap
-		}
-	case LayoutPacked:
-		if perRegion%64 != 0 {
-			panic("pagetable: packed layout needs a region fanout that is a multiple of 64")
-		}
-		t.wpr = perRegion / 64
-		words := regions * t.wpr
-		t.mapped = make([]uint64, words)
-		t.present = make([]uint64, words)
-		t.accessed = make([]uint64, words)
-		t.dirty = make([]uint64, words)
-		t.file = make([]uint64, words)
-		t.frames = make([][]mem.FrameID, regions)
-		t.swaps = make([][]int32, regions)
-	default:
-		panic("pagetable: unknown layout")
-	}
-	return t
 }
-
-// Layout reports the storage layout in use (never LayoutAuto).
-func (t *Table) Layout() Layout { return t.layout }
 
 // RegionPTEs reports the region fanout of this table.
 func (t *Table) RegionPTEs() int { return t.perRegion }
@@ -236,18 +152,18 @@ func (t *Table) RegionOf(vpn VPN) int { return int(vpn) / t.perRegion }
 // RegionStart returns the first VPN of region r.
 func (t *Table) RegionStart(r int) VPN { return VPN(r * t.perRegion) }
 
-// bitpos locates vpn in the bit planes (packed layout).
+// bitpos locates vpn in the bit planes.
 func bitpos(vpn VPN) (word int, mask uint64) {
 	return int(vpn >> 6), 1 << (uint(vpn) & 63)
 }
 
-// chunkIdx locates vpn in its region's frame/swap chunk (packed layout).
+// chunkIdx locates vpn in its region's frame/swap chunk.
 func (t *Table) chunkIdx(vpn VPN) (region, idx int) {
 	region = int(vpn) / t.perRegion
 	return region, int(vpn) - region*t.perRegion
 }
 
-// ensureChunk materializes region r's frame/swap chunk (packed layout).
+// ensureChunk materializes region r's frame/swap chunk.
 func (t *Table) ensureChunk(r int) {
 	if t.frames[r] != nil {
 		return
@@ -262,14 +178,10 @@ func (t *Table) ensureChunk(r int) {
 	t.swaps[r] = sw
 }
 
-// PTE returns a snapshot of the entry for vpn. On the legacy layout this
-// is a copy of the stored struct; on the packed layout it is synthesized
-// from the bit planes. Callers must go through Table methods for state
-// transitions — the snapshot does not write back.
+// PTE returns a snapshot of the entry for vpn, synthesized from the bit
+// planes. Callers must go through Table methods for state transitions —
+// the snapshot does not write back.
 func (t *Table) PTE(vpn VPN) PTE {
-	if t.ptes != nil {
-		return t.ptes[vpn]
-	}
 	w, b := bitpos(vpn)
 	var pbits uint8
 	if t.mapped[w]&b != 0 {
@@ -298,9 +210,6 @@ func (t *Table) PTE(vpn VPN) PTE {
 // IsPresent reports residency for vpn without synthesizing a snapshot —
 // the fault path's first question.
 func (t *Table) IsPresent(vpn VPN) bool {
-	if t.ptes != nil {
-		return t.ptes[vpn].Bits&BitPresent != 0
-	}
 	w, b := bitpos(vpn)
 	return t.present[w]&b != 0
 }
@@ -309,9 +218,6 @@ func (t *Table) IsPresent(vpn VPN) bool {
 // callers that re-read after blocking observe concurrent reaping, exactly
 // as the historical long-lived PTE pointer did.
 func (t *Table) SwapOf(vpn VPN) int32 {
-	if t.ptes != nil {
-		return t.ptes[vpn].Swap
-	}
 	if r, i := t.chunkIdx(vpn); t.swaps[r] != nil {
 		return t.swaps[r][i]
 	}
@@ -320,18 +226,12 @@ func (t *Table) SwapOf(vpn VPN) int32 {
 
 // FileBacked reports whether vpn is file-backed.
 func (t *Table) FileBacked(vpn VPN) bool {
-	if t.ptes != nil {
-		return t.ptes[vpn].Bits&BitFile != 0
-	}
 	w, b := bitpos(vpn)
 	return t.file[w]&b != 0
 }
 
 // FrameOf reports the frame backing vpn, or mem.NilFrame.
 func (t *Table) FrameOf(vpn VPN) mem.FrameID {
-	if t.ptes != nil {
-		return t.ptes[vpn].Frame
-	}
 	if r, i := t.chunkIdx(vpn); t.frames[r] != nil {
 		return t.frames[r][i]
 	}
@@ -341,19 +241,6 @@ func (t *Table) FrameOf(vpn VPN) mem.FrameID {
 // MapRange marks n pages starting at start as valid addresses (anonymous
 // by default); file marks them file-backed.
 func (t *Table) MapRange(start VPN, n int, file bool) {
-	if t.ptes != nil {
-		for i := 0; i < n; i++ {
-			p := &t.ptes[start+VPN(i)]
-			if p.Bits&BitMapped == 0 {
-				t.mappedN++
-			}
-			p.Bits |= BitMapped
-			if file {
-				p.Bits |= BitFile
-			}
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
 		vpn := start + VPN(i)
 		w, b := bitpos(vpn)
@@ -373,20 +260,6 @@ func (t *Table) MapRange(start VPN, n int, file bool) {
 // ok=true; otherwise it returns ok=false (a fault). Walking an unmapped
 // address panics — that is a workload bug, not a simulated condition.
 func (t *Table) Walk(vpn VPN, write bool) (f mem.FrameID, ok bool) {
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		if p.Bits&BitMapped == 0 {
-			panic("pagetable: access to unmapped address")
-		}
-		if p.Bits&BitPresent == 0 {
-			return mem.NilFrame, false
-		}
-		p.Bits |= BitAccessed
-		if write {
-			p.Bits |= BitDirty
-		}
-		return p.Frame, true
-	}
 	w, b := bitpos(vpn)
 	if t.mapped[w]&b == 0 {
 		panic("pagetable: access to unmapped address")
@@ -407,117 +280,70 @@ func (t *Table) Walk(vpn VPN, write bool) (f mem.FrameID, ok bool) {
 // so clean re-evictions need no writeback. The new PTE starts with the
 // Accessed bit set (the faulting access) and Dirty if write.
 func (t *Table) Insert(vpn VPN, f mem.FrameID, write bool) {
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		if p.Bits&BitMapped == 0 {
-			panic("pagetable: inserting into unmapped address")
-		}
-		if p.Bits&BitPresent != 0 {
-			panic("pagetable: double insert")
-		}
-		p.Frame = f
-		p.Bits |= BitPresent | BitAccessed
-		if write {
-			p.Bits |= BitDirty
-		}
-	} else {
-		w, b := bitpos(vpn)
-		if t.mapped[w]&b == 0 {
-			panic("pagetable: inserting into unmapped address")
-		}
-		if t.present[w]&b != 0 {
-			panic("pagetable: double insert")
-		}
-		t.present[w] |= b
-		t.accessed[w] |= b
-		if write {
-			t.dirty[w] |= b
-		}
-		r, i := t.chunkIdx(vpn)
-		t.frames[r][i] = f
+	w, b := bitpos(vpn)
+	if t.mapped[w]&b == 0 {
+		panic("pagetable: inserting into unmapped address")
 	}
+	if t.present[w]&b != 0 {
+		panic("pagetable: double insert")
+	}
+	t.present[w] |= b
+	t.accessed[w] |= b
+	if write {
+		t.dirty[w] |= b
+	}
+	r, i := t.chunkIdx(vpn)
+	t.frames[r][i] = f
 	t.presentN++
-	t.regionPresent[t.RegionOf(vpn)]++
+	t.regionPresent[r]++
 }
 
 // InsertPrefetch makes vpn resident without an access: the Accessed and
 // Dirty bits stay clear, as for pages pulled in by swap readahead. The
 // swap association is preserved (the swap copy remains valid).
 func (t *Table) InsertPrefetch(vpn VPN, f mem.FrameID) {
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		if p.Bits&BitMapped == 0 {
-			panic("pagetable: inserting into unmapped address")
-		}
-		if p.Bits&BitPresent != 0 {
-			panic("pagetable: double insert")
-		}
-		p.Frame = f
-		p.Bits |= BitPresent
-	} else {
-		w, b := bitpos(vpn)
-		if t.mapped[w]&b == 0 {
-			panic("pagetable: inserting into unmapped address")
-		}
-		if t.present[w]&b != 0 {
-			panic("pagetable: double insert")
-		}
-		t.present[w] |= b
-		r, i := t.chunkIdx(vpn)
-		t.frames[r][i] = f
+	w, b := bitpos(vpn)
+	if t.mapped[w]&b == 0 {
+		panic("pagetable: inserting into unmapped address")
 	}
+	if t.present[w]&b != 0 {
+		panic("pagetable: double insert")
+	}
+	t.present[w] |= b
+	r, i := t.chunkIdx(vpn)
+	t.frames[r][i] = f
 	t.presentN++
-	t.regionPresent[t.RegionOf(vpn)]++
+	t.regionPresent[r]++
 }
 
 // Evict clears residency for vpn, recording the swap slot it now lives in,
 // and returns whether the page was dirty (needing a writeback).
 func (t *Table) Evict(vpn VPN, swapSlot int32) (dirty bool) {
-	var hadSlot bool
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		if p.Bits&BitPresent == 0 {
-			panic("pagetable: evicting non-present page")
-		}
-		dirty = p.Bits&BitDirty != 0
-		hadSlot = p.Swap != NilSwap
-		p.Frame = mem.NilFrame
-		p.Swap = swapSlot
-		p.Bits &^= BitPresent | BitAccessed | BitDirty
-	} else {
-		w, b := bitpos(vpn)
-		if t.present[w]&b == 0 {
-			panic("pagetable: evicting non-present page")
-		}
-		dirty = t.dirty[w]&b != 0
-		t.present[w] &^= b
-		t.accessed[w] &^= b
-		t.dirty[w] &^= b
-		r, i := t.chunkIdx(vpn)
-		hadSlot = t.swaps[r][i] != NilSwap
-		t.frames[r][i] = mem.NilFrame
-		t.swaps[r][i] = swapSlot
+	w, b := bitpos(vpn)
+	if t.present[w]&b == 0 {
+		panic("pagetable: evicting non-present page")
 	}
-	reg := t.RegionOf(vpn)
+	dirty = t.dirty[w]&b != 0
+	t.present[w] &^= b
+	t.accessed[w] &^= b
+	t.dirty[w] &^= b
+	r, i := t.chunkIdx(vpn)
+	hadSlot := t.swaps[r][i] != NilSwap
+	t.frames[r][i] = mem.NilFrame
+	t.swaps[r][i] = swapSlot
 	if !hadSlot && swapSlot != NilSwap {
-		t.regionSwapped[reg]++
+		t.regionSwapped[r]++
 	} else if hadSlot && swapSlot == NilSwap {
-		t.regionSwapped[reg]--
+		t.regionSwapped[r]--
 	}
 	t.presentN--
-	t.regionPresent[reg]--
+	t.regionPresent[r]--
 	return dirty
 }
 
 // TestAndClearAccessed clears the A bit for vpn and reports whether it was
 // set — the primitive both policies' scans are built on.
 func (t *Table) TestAndClearAccessed(vpn VPN) bool {
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		was := p.Bits&BitAccessed != 0
-		p.Bits &^= BitAccessed
-		return was
-	}
 	w, b := bitpos(vpn)
 	was := t.accessed[w]&b != 0
 	t.accessed[w] &^= b
@@ -528,12 +354,6 @@ func (t *Table) TestAndClearAccessed(vpn VPN) bool {
 // set — the flusher's page_mkclean: writeback marks the page clean so a
 // later eviction need not write it again.
 func (t *Table) TestAndClearDirty(vpn VPN) bool {
-	if t.ptes != nil {
-		p := &t.ptes[vpn]
-		was := p.Bits&BitDirty != 0
-		p.Bits &^= BitDirty
-		return was
-	}
 	w, b := bitpos(vpn)
 	was := t.dirty[w]&b != 0
 	t.dirty[w] &^= b
@@ -558,40 +378,13 @@ func (t *Table) ScanRegion(r int, fn func(VPN, PTE)) {
 	}
 }
 
-// RegionSlice exposes region r's PTEs directly for hot linear scans that
-// cannot afford a per-PTE indirect call. The slice aliases the table;
-// callers may flip A/D bits in place but must go through Table methods for
-// transitions that affect residency counters (Insert/Evict). Legacy
-// layout only — packed callers use HarvestRegion and friends, which beat
-// a PTE-at-a-time loop on either layout.
-func (t *Table) RegionSlice(r int) (start VPN, ptes []PTE) {
-	if t.ptes == nil {
-		panic("pagetable: RegionSlice needs the legacy layout")
-	}
-	lo := r * t.perRegion
-	return VPN(lo), t.ptes[lo : lo+t.perRegion]
-}
-
 // HarvestRegion clears the Accessed bit of every present-and-accessed PTE
 // in region r, invoking fn for each such page in ascending VPN order with
 // its backing frame — the aging walk's inner loop. It returns the
-// region's present and accessed (harvested) counts. On the packed layout
-// the scan is word-masked: hole-only and cold words cost one AND each.
+// region's present and accessed (harvested) counts. The scan is
+// word-masked: hole-only and cold words cost one AND each.
 func (t *Table) HarvestRegion(r int, fn func(VPN, mem.FrameID)) (present, accessed int) {
 	present = int(t.regionPresent[r])
-	if t.ptes != nil {
-		start, ptes := t.RegionSlice(r)
-		for i := range ptes {
-			p := &ptes[i]
-			if p.Bits&(BitPresent|BitAccessed) != BitPresent|BitAccessed {
-				continue
-			}
-			accessed++
-			p.Bits &^= BitAccessed
-			fn(start+VPN(i), p.Frame)
-		}
-		return present, accessed
-	}
 	base := r * t.wpr
 	frames := t.frames[r]
 	for w := 0; w < t.wpr; w++ {
@@ -619,30 +412,16 @@ func (t *Table) HarvestRegion(r int, fn func(VPN, mem.FrameID)) (present, access
 // reaper's bookkeeping loop. It returns the number of slots dropped.
 func (t *Table) ReapRegion(r int, fn func(VPN, int32)) int {
 	reaped := 0
-	if t.ptes != nil {
-		start, ptes := t.RegionSlice(r)
-		for i := range ptes {
-			p := &ptes[i]
-			if p.Swap == NilSwap {
-				continue
-			}
-			slot := p.Swap
-			p.Swap = NilSwap
-			reaped++
-			fn(start+VPN(i), slot)
+	sw := t.swaps[r]
+	start := t.RegionStart(r)
+	for i := range sw {
+		if sw[i] == NilSwap {
+			continue
 		}
-	} else {
-		sw := t.swaps[r]
-		start := t.RegionStart(r)
-		for i := range sw {
-			if sw[i] == NilSwap {
-				continue
-			}
-			slot := sw[i]
-			sw[i] = NilSwap
-			reaped++
-			fn(start+VPN(i), slot)
-		}
+		slot := sw[i]
+		sw[i] = NilSwap
+		reaped++
+		fn(start+VPN(i), slot)
 	}
 	t.regionSwapped[r] -= int32(reaped)
 	return reaped
@@ -652,19 +431,6 @@ func (t *Table) ReapRegion(r int, fn func(VPN, int32)) int {
 // Policies use it for the bloom-filter density rule ("at least one
 // accessed PTE per cache line").
 func (t *Table) AccessedDensity(r int) (present, accessed int) {
-	if t.ptes != nil {
-		_, ptes := t.RegionSlice(r)
-		for i := range ptes {
-			b := ptes[i].Bits
-			if b&BitPresent != 0 {
-				present++
-				if b&BitAccessed != 0 {
-					accessed++
-				}
-			}
-		}
-		return present, accessed
-	}
 	base := r * t.wpr
 	for w := 0; w < t.wpr; w++ {
 		present += bits.OnesCount64(t.present[base+w])

@@ -7,18 +7,203 @@ import (
 )
 
 // fuzzRegions/fuzzPerRegion keep the fuzz table small enough that random
-// byte streams reach every region, while still packed-eligible (fanout a
-// multiple of 64).
+// byte streams reach every region.
 const (
 	fuzzRegions   = 4
 	fuzzPerRegion = 64
 )
 
+// fuzzTarget is the surface the op decoder drives; *Table and the
+// reference model both implement it.
+type fuzzTarget interface {
+	Pages() int
+	Regions() int
+	PTE(VPN) PTE
+	MapRange(VPN, int, bool)
+	Walk(VPN, bool) (mem.FrameID, bool)
+	Insert(VPN, mem.FrameID, bool)
+	InsertPrefetch(VPN, mem.FrameID)
+	Evict(VPN, int32) bool
+	TestAndClearAccessed(VPN) bool
+	HarvestRegion(int, func(VPN, mem.FrameID)) (int, int)
+	ReapRegion(int, func(VPN, int32)) int
+	AccessedDensity(int) (int, int)
+	RegionPresent(int) int
+	RegionSwapped(int) int
+}
+
+// model is the reference the bit-plane table is held to: one map entry
+// per touched PTE, every counter recomputed by brute force on demand.
+// It is written for obviousness, not speed.
+type model struct {
+	regions, perRegion int
+	ptes               map[VPN]PTE
+}
+
+func newModel(regions, perRegion int) *model {
+	return &model{regions: regions, perRegion: perRegion, ptes: map[VPN]PTE{}}
+}
+
+func (m *model) Pages() int   { return m.regions * m.perRegion }
+func (m *model) Regions() int { return m.regions }
+
+func (m *model) PTE(vpn VPN) PTE {
+	if p, ok := m.ptes[vpn]; ok {
+		return p
+	}
+	return PTE{Frame: mem.NilFrame, Swap: NilSwap}
+}
+
+func (m *model) MapRange(start VPN, n int, file bool) {
+	for v := start; v < start+VPN(n); v++ {
+		p := m.PTE(v)
+		p.Bits |= BitMapped
+		if file {
+			p.Bits |= BitFile
+		}
+		m.ptes[v] = p
+	}
+}
+
+func (m *model) Walk(vpn VPN, write bool) (mem.FrameID, bool) {
+	p := m.PTE(vpn)
+	if !p.Mapped() {
+		panic("model: access to unmapped address")
+	}
+	if !p.Present() {
+		return mem.NilFrame, false
+	}
+	p.Bits |= BitAccessed
+	if write {
+		p.Bits |= BitDirty
+	}
+	m.ptes[vpn] = p
+	return p.Frame, true
+}
+
+func (m *model) Insert(vpn VPN, f mem.FrameID, write bool) {
+	p := m.PTE(vpn)
+	p.Frame = f
+	p.Bits |= BitPresent | BitAccessed
+	if write {
+		p.Bits |= BitDirty
+	}
+	m.ptes[vpn] = p
+}
+
+func (m *model) InsertPrefetch(vpn VPN, f mem.FrameID) {
+	p := m.PTE(vpn)
+	p.Frame = f
+	p.Bits |= BitPresent
+	m.ptes[vpn] = p
+}
+
+func (m *model) Evict(vpn VPN, slot int32) bool {
+	p := m.PTE(vpn)
+	dirty := p.Dirty()
+	p.Frame = mem.NilFrame
+	p.Swap = slot
+	p.Bits &^= BitPresent | BitAccessed | BitDirty
+	m.ptes[vpn] = p
+	return dirty
+}
+
+func (m *model) TestAndClearAccessed(vpn VPN) bool {
+	p := m.PTE(vpn)
+	was := p.Accessed()
+	p.Bits &^= BitAccessed
+	m.ptes[vpn] = p
+	return was
+}
+
+// region returns region r's VPNs in ascending order.
+func (m *model) region(r int) []VPN {
+	out := make([]VPN, m.perRegion)
+	for i := range out {
+		out[i] = VPN(r*m.perRegion + i)
+	}
+	return out
+}
+
+func (m *model) HarvestRegion(r int, fn func(VPN, mem.FrameID)) (present, accessed int) {
+	for _, v := range m.region(r) {
+		p := m.PTE(v)
+		if !p.Present() {
+			continue
+		}
+		present++
+		if p.Accessed() {
+			accessed++
+			p.Bits &^= BitAccessed
+			m.ptes[v] = p
+			fn(v, p.Frame)
+		}
+	}
+	return present, accessed
+}
+
+func (m *model) ReapRegion(r int, fn func(VPN, int32)) int {
+	n := 0
+	for _, v := range m.region(r) {
+		p := m.PTE(v)
+		if p.Swap == NilSwap {
+			continue
+		}
+		slot := p.Swap
+		p.Swap = NilSwap
+		m.ptes[v] = p
+		n++
+		fn(v, slot)
+	}
+	return n
+}
+
+func (m *model) AccessedDensity(r int) (present, accessed int) {
+	for _, v := range m.region(r) {
+		if p := m.PTE(v); p.Present() {
+			present++
+			if p.Accessed() {
+				accessed++
+			}
+		}
+	}
+	return present, accessed
+}
+
+func (m *model) RegionPresent(r int) int {
+	present, _ := m.AccessedDensity(r)
+	return present
+}
+
+func (m *model) RegionSwapped(r int) int {
+	n := 0
+	for _, v := range m.region(r) {
+		if m.PTE(v).Swap != NilSwap {
+			n++
+		}
+	}
+	return n
+}
+
+// totals counts resident and mapped pages over the whole span.
+func (m *model) totals() (present, mapped int) {
+	for _, p := range m.ptes {
+		if p.Present() {
+			present++
+		}
+		if p.Mapped() {
+			mapped++
+		}
+	}
+	return present, mapped
+}
+
 // applyFuzzOp decodes one operation from (op, a, b) and applies it to t.
-// The legacy table decides validity — both tables get the identical call
-// sequence, so guards read the same either way. Returns a small result
-// fingerprint so the caller can diff observable behaviour per-op.
-func applyFuzzOp(t *Table, op, a, b byte, slot int32) (r1, r2 int64) {
+// Guards read t's own state, and the table and model are held equal
+// after every step, so both get the identical call sequence. Returns a
+// small result fingerprint so the caller can diff observable behaviour
+// per-op.
+func applyFuzzOp(t fuzzTarget, op, a, b byte, slot int32) (r1, r2 int64) {
 	pages := VPN(t.Pages())
 	vpn := VPN(a) % pages
 	region := int(a) % t.Regions()
@@ -87,58 +272,63 @@ func applyFuzzOp(t *Table, op, a, b byte, slot int32) (r1, r2 int64) {
 }
 
 // diffTables fails the test at the first observable divergence between the
-// legacy and packed tables: global counters, then every PTE snapshot and
-// live accessor, then the per-region counters.
-func diffTables(t *testing.T, legacy, packed *Table, step int) {
+// table and the model: global counters, then every PTE snapshot and live
+// accessor, then the per-region counters.
+func diffTables(t *testing.T, tb *Table, m *model, step int) {
 	t.Helper()
-	if legacy.PresentPages() != packed.PresentPages() || legacy.MappedPages() != packed.MappedPages() {
-		t.Fatalf("step %d: global counters diverge: legacy present=%d mapped=%d, packed present=%d mapped=%d",
-			step, legacy.PresentPages(), legacy.MappedPages(), packed.PresentPages(), packed.MappedPages())
+	present, mapped := m.totals()
+	if tb.PresentPages() != present || tb.MappedPages() != mapped {
+		t.Fatalf("step %d: global counters diverge: table present=%d mapped=%d, model present=%d mapped=%d",
+			step, tb.PresentPages(), tb.MappedPages(), present, mapped)
 	}
-	for vpn := VPN(0); vpn < VPN(legacy.Pages()); vpn++ {
-		lp, pp := legacy.PTE(vpn), packed.PTE(vpn)
-		if lp != pp {
-			t.Fatalf("step %d: PTE(%d) diverges: legacy %+v, packed %+v", step, vpn, lp, pp)
+	for vpn := VPN(0); vpn < VPN(tb.Pages()); vpn++ {
+		tp, mp := tb.PTE(vpn), m.PTE(vpn)
+		if tp != mp {
+			t.Fatalf("step %d: PTE(%d) diverges: table %+v, model %+v", step, vpn, tp, mp)
 		}
-		if legacy.IsPresent(vpn) != packed.IsPresent(vpn) ||
-			legacy.SwapOf(vpn) != packed.SwapOf(vpn) ||
-			legacy.FileBacked(vpn) != packed.FileBacked(vpn) ||
-			legacy.FrameOf(vpn) != packed.FrameOf(vpn) {
+		if tb.IsPresent(vpn) != mp.Present() ||
+			tb.SwapOf(vpn) != mp.Swap ||
+			tb.FileBacked(vpn) != mp.File() ||
+			tb.FrameOf(vpn) != mp.Frame {
 			t.Fatalf("step %d: accessors diverge at vpn %d", step, vpn)
 		}
 	}
-	for r := 0; r < legacy.Regions(); r++ {
-		if legacy.RegionPresent(r) != packed.RegionPresent(r) || legacy.RegionSwapped(r) != packed.RegionSwapped(r) {
-			t.Fatalf("step %d: region %d counters diverge: legacy (%d,%d), packed (%d,%d)", step, r,
-				legacy.RegionPresent(r), legacy.RegionSwapped(r), packed.RegionPresent(r), packed.RegionSwapped(r))
+	for r := 0; r < tb.Regions(); r++ {
+		if tb.RegionPresent(r) != m.RegionPresent(r) || tb.RegionSwapped(r) != m.RegionSwapped(r) {
+			t.Fatalf("step %d: region %d counters diverge: table (%d,%d), model (%d,%d)", step, r,
+				tb.RegionPresent(r), tb.RegionSwapped(r), m.RegionPresent(r), m.RegionSwapped(r))
 		}
 	}
 }
 
-// FuzzPackedVsLegacy drives the identical operation stream — maps, walks,
-// inserts, evictions, harvests, reaps — through a legacy AoS table and a
-// packed SoA table and requires bit-exact agreement after every step: op
-// results (including harvest/reap callback order), every PTE snapshot,
-// every accessor, and all counters. The legacy layout is the reference
-// model; any divergence is a packed bit-plane bug.
-func FuzzPackedVsLegacy(f *testing.F) {
+// FuzzTableVsModel drives the identical operation stream — maps, walks,
+// inserts, evictions, harvests, reaps — through the bit-plane table and a
+// map-per-PTE reference model and requires exact agreement after every
+// step: op results (including harvest/reap callback order), every PTE
+// snapshot, every accessor, and all counters. The model recomputes its
+// counters by brute force, so any divergence is a bit-plane or
+// incremental-counter bug in the table.
+func FuzzTableVsModel(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 1, 0, 0, 2, 0, 3, 1, 0, 1, 4, 0, 0, 6, 0, 0})
 	f.Add([]byte{0, 128, 200, 2, 130, 7, 4, 130, 0, 7, 130, 0, 9, 2, 0})
 	f.Add([]byte{0, 0, 255, 0, 64, 255, 2, 5, 1, 5, 5, 0, 8, 1, 0, 6, 0, 0, 7, 0, 0})
+	// Swap-slot lifecycle on one page: evict to a slot, refault, drop
+	// the slot on a slotless re-evict, evict to a slot again, then reap.
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 4, 0, 0, 2, 0, 2, 4, 0, 1, 2, 0, 4, 4, 0, 0, 7, 0, 0, 9, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		legacy := NewWithLayout(fuzzRegions, fuzzPerRegion, LayoutLegacy)
-		packed := NewWithLayout(fuzzRegions, fuzzPerRegion, LayoutPacked)
+		tb := NewWithRegionSize(fuzzRegions, fuzzPerRegion)
+		m := newModel(fuzzRegions, fuzzPerRegion)
 		slot := int32(1)
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
-			l1, l2 := applyFuzzOp(legacy, op, a, b, slot)
-			p1, p2 := applyFuzzOp(packed, op, a, b, slot)
+			t1, t2 := applyFuzzOp(tb, op, a, b, slot)
+			m1, m2 := applyFuzzOp(m, op, a, b, slot)
 			slot++
-			if l1 != p1 || l2 != p2 {
-				t.Fatalf("step %d (op %d a %d b %d): results diverge: legacy (%d,%d), packed (%d,%d)",
-					i/3, op%10, a, b, l1, l2, p1, p2)
+			if t1 != m1 || t2 != m2 {
+				t.Fatalf("step %d (op %d a %d b %d): results diverge: table (%d,%d), model (%d,%d)",
+					i/3, op%10, a, b, t1, t2, m1, m2)
 			}
-			diffTables(t, legacy, packed, i/3)
+			diffTables(t, tb, m, i/3)
 		}
 	})
 }

@@ -140,6 +140,21 @@ func TestCustomRegionSize(t *testing.T) {
 	}
 }
 
+// The bit planes give each region whole 64-bit words, so a fanout that
+// is not a positive multiple of 64 is rejected at construction.
+func TestRegionFanoutMustBeWordMultiple(t *testing.T) {
+	for _, perRegion := range []int{0, -64, 8, 32, 96} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWithRegionSize(1, %d) did not panic", perRegion)
+				}
+			}()
+			NewWithRegionSize(1, perRegion)
+		}()
+	}
+}
+
 func TestAccessedDensity(t *testing.T) {
 	tb := New(1)
 	tb.MapRange(0, PTEsPerRegion, false)

@@ -113,10 +113,9 @@ func (g *MGLRU) shouldScan(r int) bool {
 // threshold (default: one accessed PTE per cache line of present PTEs).
 // Shared by the aging walk and the eviction thread's spatial scan.
 //
-// The harvest itself is the table's HarvestRegion — a word-masked bitset
-// iteration on the packed layout, a direct slice loop on the legacy one —
-// which visits present-and-accessed pages in ascending VPN order, the
-// order the historical PTE-slice loop promoted in.
+// The harvest itself is the table's HarvestRegion — a word-masked
+// iteration over the accessed and present bit planes — which visits
+// present-and-accessed pages in ascending VPN order.
 func (g *MGLRU) scanRegion(v *sim.Env, r int, target uint64) {
 	table := g.k.Table()
 	present, accessed := table.HarvestRegion(r, func(_ pagetable.VPN, f mem.FrameID) {

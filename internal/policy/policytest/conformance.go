@@ -24,22 +24,35 @@ import (
 //   - Reclaim makes progress under pressure (a full memory with cold
 //     pages can always be shrunk).
 func Conformance(t *testing.T, name string, mk func() policy.Policy) {
-	ConformanceWithLayout(t, name, pagetable.LayoutAuto, mk)
+	ConformanceAt(t, name, pagetable.PTEsPerRegion, mk)
 }
 
-// ConformanceWithLayout is Conformance against a kernel double whose page
-// table uses the given storage layout; the layout-differential suite runs
-// it once per layout so both the legacy AoS and packed SoA paths owe the
-// identical contract.
-func ConformanceWithLayout(t *testing.T, name string, layout pagetable.Layout, mk func() policy.Policy) {
-	t.Run(name+"/reclaim-bounded", func(t *testing.T) { conformReclaimBounded(t, layout, mk) })
-	t.Run(name+"/counter-coherence", func(t *testing.T) { conformCounters(t, layout, mk) })
-	t.Run(name+"/stats-monotone", func(t *testing.T) { conformMonotone(t, layout, mk) })
-	t.Run(name+"/residency", func(t *testing.T) { conformResidency(t, layout, mk) })
-	t.Run(name+"/mixed-file-anon", func(t *testing.T) { conformMixedFileAnon(t, layout, mk) })
+// ConformanceAt is Conformance against a kernel double whose page table
+// is laid out in regions of regionPTEs PTEs (a positive multiple of 64
+// dividing confPages), so policies that walk region by region owe the
+// same contract at the scaled workloads' fanout as at the kernel's.
+func ConformanceAt(t *testing.T, name string, regionPTEs int, mk func() policy.Policy) {
+	t.Run(name+"/reclaim-bounded", func(t *testing.T) { conformReclaimBounded(t, regionPTEs, mk) })
+	t.Run(name+"/counter-coherence", func(t *testing.T) { conformCounters(t, regionPTEs, mk) })
+	t.Run(name+"/stats-monotone", func(t *testing.T) { conformMonotone(t, regionPTEs, mk) })
+	t.Run(name+"/residency", func(t *testing.T) { conformResidency(t, regionPTEs, mk) })
+	t.Run(name+"/mixed-file-anon", func(t *testing.T) { conformMixedFileAnon(t, regionPTEs, mk) })
 }
 
-const confFrames = 64
+const (
+	confFrames = 64
+	// confPages is the anonymous span every suite kernel maps: two
+	// 512-PTE PMD regions.
+	confPages = 2 * pagetable.PTEsPerRegion
+)
+
+// confKernel builds the suite's kernel double over confPages mapped
+// pages in regions of regionPTEs PTEs.
+func confKernel(regionPTEs int) *Kernel {
+	t := pagetable.NewWithRegionSize(confPages/regionPTEs, regionPTEs)
+	t.MapRange(0, confPages, false)
+	return NewWithTable(confFrames, t, 7)
+}
 
 // freeOne drives Reclaim until a frame is free, tolerating
 // zero-progress passes (a pass that only rotates hot pages clears their
@@ -83,8 +96,8 @@ func workPattern(t *testing.T, v *sim.Env, k *Kernel, p policy.Policy, pages, ro
 
 // conformReclaimBounded: Reclaim(v, n) returns at most n and exactly the
 // number of evictions it performed.
-func conformReclaimBounded(t *testing.T, layout pagetable.Layout, mk func() policy.Policy) {
-	k := NewWithLayout(confFrames, 2, layout, 7)
+func conformReclaimBounded(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	k := confKernel(regionPTEs)
 	p := mk()
 	p.Attach(k)
 	Run(func(v *sim.Env) {
@@ -110,8 +123,8 @@ func conformReclaimBounded(t *testing.T, layout pagetable.Layout, mk func() poli
 
 // conformCounters: Evicted and Refaults reconcile with the kernel
 // double's ground truth.
-func conformCounters(t *testing.T, layout pagetable.Layout, mk func() policy.Policy) {
-	k := NewWithLayout(confFrames, 2, layout, 7)
+func conformCounters(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	k := confKernel(regionPTEs)
 	p := mk()
 	p.Attach(k)
 	shadowedPageIns := 0
@@ -158,8 +171,8 @@ var statsFieldNames = []string{
 }
 
 // conformMonotone: no Stats counter ever decreases.
-func conformMonotone(t *testing.T, layout pagetable.Layout, mk func() policy.Policy) {
-	k := NewWithLayout(confFrames, 2, layout, 7)
+func conformMonotone(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	k := confKernel(regionPTEs)
 	p := mk()
 	p.Attach(k)
 	prev := statsFields(p.Stats())
@@ -200,8 +213,8 @@ func conformMonotone(t *testing.T, layout pagetable.Layout, mk func() policy.Pol
 // the kernel's ground truth, eventually evict both types under uniform
 // overcommit, and never corrupt the file flag on frames it shuffles
 // between lists.
-func conformMixedFileAnon(t *testing.T, layout pagetable.Layout, mk func() policy.Policy) {
-	k := NewWithLayout(confFrames, 2, layout, 7)
+func conformMixedFileAnon(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	k := confKernel(regionPTEs)
 	p := mk()
 	p.Attach(k)
 	pages := confFrames * 2
@@ -254,8 +267,8 @@ func conformMixedFileAnon(t *testing.T, layout pagetable.Layout, mk func() polic
 }
 
 // conformResidency: frames in use always equal pages present.
-func conformResidency(t *testing.T, layout pagetable.Layout, mk func() policy.Policy) {
-	k := NewWithLayout(confFrames, 2, layout, 7)
+func conformResidency(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	k := confKernel(regionPTEs)
 	p := mk()
 	p.Attach(k)
 	Run(func(v *sim.Env) {

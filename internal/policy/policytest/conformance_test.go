@@ -3,13 +3,13 @@ package policytest_test
 import (
 	"testing"
 
-	"mglrusim/internal/pagetable"
 	"mglrusim/internal/policy"
 	"mglrusim/internal/policy/clock"
 	"mglrusim/internal/policy/mglru"
 	"mglrusim/internal/policy/oracle"
 	"mglrusim/internal/policy/policytest"
 	"mglrusim/internal/policy/simple"
+	"mglrusim/internal/workload"
 )
 
 // TestPolicyConformance runs the contract suite over every registered
@@ -38,8 +38,11 @@ func TestPolicyConformance(t *testing.T) {
 
 // TestConformanceBothLayouts runs the contract suite over the policies
 // that read page tables directly (the MG-LRU variants and Clock) against
-// both page-table storage layouts explicitly, so neither the legacy AoS
-// path nor the packed SoA bit-plane path can drift out of contract.
+// the packed bit-plane table laid out in the scaled workloads' 64-PTE
+// regions, where TestPolicyConformance uses the kernel's 512-PTE PMD
+// regions: the aging walk and its bloom filter see eight times as many
+// regions over the same pages, and must stay in contract under both
+// layouts.
 func TestConformanceBothLayouts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -51,9 +54,7 @@ func TestConformanceBothLayouts(t *testing.T) {
 		{"scan-all", func() policy.Policy { return mglru.New(mglru.ScanAll()) }},
 		{"scan-none", func() policy.Policy { return mglru.New(mglru.ScanNone()) }},
 	}
-	for _, layout := range []pagetable.Layout{pagetable.LayoutLegacy, pagetable.LayoutPacked} {
-		for _, c := range cases {
-			policytest.ConformanceWithLayout(t, layout.String()+"/"+c.name, layout, c.mk)
-		}
+	for _, c := range cases {
+		policytest.ConformanceAt(t, "packed/"+c.name, workload.DefaultRegionPTEs, c.mk)
 	}
 }

@@ -38,24 +38,7 @@ type Kernel struct {
 // New creates a test kernel with frames physical pages and a page table of
 // regions PMD regions (all mapped as anonymous memory).
 func New(frames, regions int, seed uint64) *Kernel {
-	rng := sim.NewRNG(seed)
-	m := mem.New(frames)
 	t := pagetable.New(regions)
-	t.MapRange(0, regions*pagetable.PTEsPerRegion, false)
-	return &Kernel{
-		M:       m,
-		T:       t,
-		R:       rmap.New(m, rmap.CostModel{Base: 100}, rng.Stream(1)),
-		RNG:     rng.Stream(2),
-		Shadows: map[pagetable.VPN]policy.Shadow{},
-	}
-}
-
-// NewWithLayout is New with an explicit page-table storage layout, so
-// contract suites can pin the legacy AoS and packed SoA layouts
-// individually instead of taking whatever auto selects.
-func NewWithLayout(frames, regions int, layout pagetable.Layout, seed uint64) *Kernel {
-	t := pagetable.NewWithLayout(regions, pagetable.PTEsPerRegion, layout)
 	t.MapRange(0, regions*pagetable.PTEsPerRegion, false)
 	return NewWithTable(frames, t, seed)
 }

@@ -390,18 +390,7 @@ func (c Canonical) Options(seed uint64) experiments.Options {
 		Trials:      c.Trials,
 		Scale:       c.Scale,
 		Seed:        seed,
-		RegionPTEs:  regionOrDefault(c.RegionPTEs),
+		RegionPTEs:  c.RegionPTEs,
 		Parallelism: 1,
 	}
-}
-
-// regionOrDefault maps the canonical (always-explicit) fanout back to
-// the options encoding, where the workload default is expressed as 0 —
-// keeping cache keys identical to batch pagebench runs that leave the
-// knob unset.
-func regionOrDefault(ptes int) int {
-	if ptes == workload.DefaultRegionPTEs {
-		return 0
-	}
-	return ptes
 }

@@ -315,12 +315,7 @@ var Extensions = experiments.Extensions
 func ExtensionIDs() []string { return experiments.ExtensionIDs() }
 
 // PolicyNames lists the canonical policy names accepted by PolicyByName.
-func PolicyNames() []string {
-	return []string{
-		experiments.PolClock, experiments.PolMGLRU, experiments.PolGen14,
-		experiments.PolScanAll, experiments.PolScanNone, experiments.PolScanRand,
-	}
-}
+func PolicyNames() []string { return experiments.PolicyNames() }
 
 // PolicyByName returns the factory for a canonical policy name.
 func PolicyByName(name string) PolicyFactory { return experiments.PolicyByName(name).Make }

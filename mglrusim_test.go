@@ -53,10 +53,19 @@ func TestPublicPolicyVariants(t *testing.T) {
 }
 
 func TestPublicPolicyByName(t *testing.T) {
+	listed := map[string]bool{}
 	for _, name := range mglrusim.PolicyNames() {
+		listed[name] = true
 		mk := mglrusim.PolicyByName(name)
 		if mk() == nil {
 			t.Fatalf("factory for %s returned nil", name)
+		}
+	}
+	// PolicyNames must list everything PolicyByName accepts, baselines
+	// and ablations included.
+	for _, name := range []string{"fifo", "random", "mglru-nopid"} {
+		if !listed[name] {
+			t.Errorf("PolicyNames() omits %q, which PolicyByName accepts", name)
 		}
 	}
 }
