@@ -113,17 +113,19 @@ type SeriesSummary struct {
 }
 
 // SummarizeSeriesBlob digests a checkpoint-store blob into a
-// SeriesSummary. ok is false when the blob is not a valid series envelope
-// of the current format version.
-func SummarizeSeriesBlob(data []byte) (SeriesSummary, bool) {
+// SeriesSummary and reports the logical cache key embedded in the blob. ok
+// is false when the blob is not a valid series envelope of the current
+// format version. The blob is parsed once.
+func SummarizeSeriesBlob(data []byte) (sum SeriesSummary, key string, ok bool) {
 	var env seriesEnvelope
 	if err := json.Unmarshal(data, &env); err != nil || env.Version != checkpointVersion {
-		return SeriesSummary{}, false
+		return SeriesSummary{}, "", false
 	}
-	s, ok := decodeSeries(env.Key, data)
-	if !ok {
-		return SeriesSummary{}, false
-	}
+	return summarize(env.series()), env.Key, true
+}
+
+// summarize digests a restored series.
+func summarize(s *Series) SeriesSummary {
 	sum := SeriesSummary{
 		Workload: s.Workload,
 		Policy:   s.Policy,
@@ -136,7 +138,7 @@ func SummarizeSeriesBlob(data []byte) (SeriesSummary, bool) {
 			sum.MeanRequestNS = stats.Mean(req)
 		}
 	}
-	return sum, true
+	return sum
 }
 
 // decodeSeries restores a persisted series. ok is false when the blob is
@@ -151,6 +153,12 @@ func decodeSeries(key string, data []byte) (*Series, bool) {
 	if env.Version != checkpointVersion || env.Key != key {
 		return nil, false
 	}
+	return env.series(), true
+}
+
+// series rebuilds the in-memory Series from a decoded envelope, turning
+// the flattened latency samples back into recorders.
+func (env *seriesEnvelope) series() *Series {
 	s := &Series{
 		Workload: env.Workload,
 		Policy:   env.Policy,
@@ -176,5 +184,5 @@ func decodeSeries(key string, data []byte) (*Series, bool) {
 			FileDevice:     t.FileDevice,
 		}
 	}
-	return s, true
+	return s
 }

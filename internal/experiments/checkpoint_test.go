@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mglrusim/internal/checkpoint"
 	"mglrusim/internal/core"
 	"mglrusim/internal/fault"
 	"mglrusim/internal/pagecache"
@@ -95,5 +96,63 @@ func TestCheckpointRoundTripPreservesFileCache(t *testing.T) {
 	}
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("round-trip not byte-stable")
+	}
+}
+
+// TestSummarizeSeriesBlobMatchesDecode: for every artifact of a small
+// warmed store, the single-parse SummarizeSeriesBlob equals the summary
+// of the series decodeSeries restores, and reports the key the artifact
+// was filed under. A wrong-version copy of each artifact is rejected by
+// both paths.
+func TestSummarizeSeriesBlobMatchesDecode(t *testing.T) {
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Trials: 2, Scale: 0.1, Seed: 0xABC, Checkpoint: store}
+	r := NewRunner(opts)
+	ws := []WorkloadSpec{WorkloadByName("ycsb-c", opts.Scale), WorkloadByName("tpch", opts.Scale)}
+	ps := []PolicySpec{PolicyByName(PolClock), PolicyByName(PolMGLRU)}
+	sys := SystemAt(0.5, core.SwapZRAM)
+	cells := r.MatrixCells(ws, ps, sys)
+	if _, err := r.RunMatrix(ws, ps, sys); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != len(cells) || len(cells) != 4 {
+		t.Fatalf("store holds %d artifacts for %d cells, want 4", store.Len(), len(cells))
+	}
+	for _, c := range cells {
+		blob, ok := store.Get(c.Key)
+		if !ok {
+			t.Fatalf("cell %s/%s missing from the store", c.Workload, c.Policy)
+		}
+		sum, key, ok := SummarizeSeriesBlob(blob)
+		if !ok {
+			t.Fatalf("cell %s/%s: stored artifact rejected", c.Workload, c.Policy)
+		}
+		if key != c.Key {
+			t.Fatalf("cell %s/%s: embedded key %q, want %q", c.Workload, c.Policy, key, c.Key)
+		}
+		s, ok := decodeSeries(c.Key, blob)
+		if !ok {
+			t.Fatalf("cell %s/%s: decodeSeries rejected the artifact", c.Workload, c.Policy)
+		}
+		if want := summarize(s); sum != want {
+			t.Fatalf("cell %s/%s: summary %+v, decodeSeries gives %+v", c.Workload, c.Policy, sum, want)
+		}
+		if sum.Trials != opts.Trials || sum.MeanRuntimeSec <= 0 {
+			t.Fatalf("cell %s/%s: implausible summary %+v", c.Workload, c.Policy, sum)
+		}
+
+		stale := bytes.Replace(blob, []byte(`"Version":1,`), []byte(`"Version":2,`), 1)
+		if bytes.Equal(stale, blob) {
+			t.Fatal("artifact does not lead with the version field")
+		}
+		if _, _, ok := SummarizeSeriesBlob(stale); ok {
+			t.Fatalf("cell %s/%s: wrong-version artifact summarized", c.Workload, c.Policy)
+		}
+		if _, ok := decodeSeries(c.Key, stale); ok {
+			t.Fatalf("cell %s/%s: wrong-version artifact decoded", c.Workload, c.Policy)
+		}
 	}
 }

@@ -179,9 +179,12 @@ func TestSummarizeSeriesBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, ok := SummarizeSeriesBlob(blob)
+	sum, key, ok := SummarizeSeriesBlob(blob)
 	if !ok {
 		t.Fatal("valid envelope rejected")
+	}
+	if key != "some-key" {
+		t.Fatalf("embedded key = %q, want some-key", key)
 	}
 	if sum.Workload != "tpch" || sum.Policy != PolClock || sum.Trials != 2 {
 		t.Fatalf("summary = %+v", sum)
@@ -189,10 +192,10 @@ func TestSummarizeSeriesBlob(t *testing.T) {
 	if sum.MeanRuntimeSec != 3.0 {
 		t.Fatalf("MeanRuntimeSec = %v, want 3.0", sum.MeanRuntimeSec)
 	}
-	if _, ok := SummarizeSeriesBlob([]byte("not json")); ok {
+	if _, _, ok := SummarizeSeriesBlob([]byte("not json")); ok {
 		t.Error("garbage blob accepted")
 	}
-	if _, ok := SummarizeSeriesBlob([]byte(`{"Version":999}`)); ok {
+	if _, _, ok := SummarizeSeriesBlob([]byte(`{"Version":999}`)); ok {
 		t.Error("wrong-version blob accepted")
 	}
 }

@@ -99,7 +99,8 @@ func (j *job) inspect(store *checkpoint.Store) []shard.CellInfo {
 
 // view derives the job's full status from the on-disk protocol. It is
 // the single source every surface (status JSON, SSE diffs) renders from.
-func (j *job) view(store *checkpoint.Store, draining bool) JobStatus {
+// Done cells carry the summary sums reports for their cache key.
+func (j *job) view(store *checkpoint.Store, sums *summaries, draining bool) JobStatus {
 	st := JobStatus{
 		ID:      j.key,
 		Created: j.created,
@@ -124,10 +125,8 @@ func (j *job) view(store *checkpoint.Store, draining bool) JobStatus {
 			if j.cachedAtSubmit[info.Cell.Key] {
 				cv.Status = "cached"
 			}
-			if blob, ok := store.Get(info.Cell.Key); ok {
-				if sum, ok := experiments.SummarizeSeriesBlob(blob); ok {
-					cv.Summary = &sum
-				}
+			if sum, ok := sums.get(store, info.Cell.Key); ok {
+				cv.Summary = &sum
 			}
 		case shard.CellQuarantined:
 			terminal++
@@ -147,6 +146,43 @@ func (j *job) view(store *checkpoint.Store, draining bool) JobStatus {
 		st.State = "running"
 	}
 	return st
+}
+
+// summaries memoizes the SeriesSummary of each stored artifact by cell
+// key, so a view reads and decodes an artifact at most once per process
+// instead of on every monitor tick, submit, status request and SSE
+// snapshot. Caching is safe because an artifact that decodes cannot
+// change: store entries are written once (PutVerify refuses divergent
+// bytes, and zero-length entries read as missing), and the only entries
+// the runner ever replaces are ones that fail to decode as the cell's own
+// series. Failed reads and decodes are therefore never memoized, and a
+// summary is memoized only when the artifact carries the cell's key.
+type summaries struct {
+	mu sync.Mutex
+	m  map[string]experiments.SeriesSummary
+}
+
+// get returns the summary of the artifact stored for key. The decode runs
+// outside the lock: two views decoding the same artifact at once is
+// harmless, as both arrive at the same summary.
+func (s *summaries) get(store *checkpoint.Store, key string) (experiments.SeriesSummary, bool) {
+	s.mu.Lock()
+	sum, ok := s.m[key]
+	s.mu.Unlock()
+	if ok {
+		return sum, true
+	}
+	blob, ok := store.Get(key)
+	if !ok {
+		return experiments.SeriesSummary{}, false
+	}
+	sum, stored, ok := experiments.SummarizeSeriesBlob(blob)
+	if ok && stored == key {
+		s.mu.Lock()
+		s.m[key] = sum
+		s.mu.Unlock()
+	}
+	return sum, ok
 }
 
 // subscribe registers an SSE listener. The returned channel receives

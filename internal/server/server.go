@@ -74,6 +74,8 @@ type Server struct {
 	jobs       map[string]*job
 	activeCold int
 
+	sums summaries
+
 	draining atomic.Bool
 	readOnly atomic.Bool
 	quit     chan struct{}
@@ -144,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 		shardCfg: shardCfg,
 		exec:     exec,
 		jobs:     map[string]*job{},
+		sums:     summaries{m: map[string]experiments.SeriesSummary{}},
 		quit:     make(chan struct{}),
 	}
 	readOnly := cfg.ReadOnly
@@ -235,7 +238,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobs[key]; ok {
 		s.mu.Unlock()
 		s.cfg.Counters.Add("server.sweeps.deduped", 1)
-		writeJSON(w, http.StatusOK, j.view(s.cfg.Store, s.draining.Load()))
+		writeJSON(w, http.StatusOK, s.view(j))
 		return
 	}
 	s.mu.Unlock()
@@ -283,9 +286,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Counters.Add("server.sweeps.completed", 1)
 			// All cells are terminal at creation: publish once so SSE
 			// subscribers get an immediate snapshot + done.
-			j.publish(j.view(s.cfg.Store, s.draining.Load()))
+			j.publish(s.view(j))
 		}
-		writeJSON(w, http.StatusOK, j.view(s.cfg.Store, s.draining.Load()))
+		writeJSON(w, http.StatusOK, s.view(j))
 		return
 	}
 
@@ -294,7 +297,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Lost the singleflight race to a concurrent identical submission.
 		s.mu.Unlock()
 		s.cfg.Counters.Add("server.sweeps.deduped", 1)
-		writeJSON(w, http.StatusOK, j.view(s.cfg.Store, s.draining.Load()))
+		writeJSON(w, http.StatusOK, s.view(j))
 		return
 	}
 	if s.activeCold+cold > s.cfg.QueueBound {
@@ -337,9 +340,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(s.cfg.Progress, "server: job %s: %d cells (%d cached, %d cold)\n",
 			key, len(cells), len(cached), cold)
 	}
+	// Render the response before the monitor starts, so the two do not
+	// race to decode the same cached artifacts.
+	st := s.view(j)
 	go s.monitor(j)
+	writeJSON(w, http.StatusAccepted, st)
+}
 
-	writeJSON(w, http.StatusAccepted, j.view(s.cfg.Store, s.draining.Load()))
+// view renders a job's current status.
+func (s *Server) view(j *job) JobStatus {
+	return j.view(s.cfg.Store, &s.sums, s.draining.Load())
 }
 
 // monitor derives and publishes a job's status until it is terminal (or
@@ -347,7 +357,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) monitor(j *job) {
 	defer s.wg.Done()
 	for {
-		j.publish(j.view(s.cfg.Store, s.draining.Load()))
+		j.publish(s.view(j))
 		if j.done() {
 			s.mu.Lock()
 			s.activeCold -= j.coldAtSubmit
@@ -380,7 +390,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view(s.cfg.Store, s.draining.Load()))
+	writeJSON(w, http.StatusOK, s.view(j))
 }
 
 // handleEvents is GET /v1/sweeps/{id}/events: an SSE stream of cell
@@ -408,7 +418,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ch := j.subscribe()
 	defer j.unsubscribe(ch)
 
-	st := j.view(s.cfg.Store, s.draining.Load())
+	st := s.view(j)
 	writeSSE(w, "snapshot", st)
 	if st.State == "done" {
 		writeSSE(w, "done", Event{Job: j.key, Counts: st.Counts})

@@ -357,7 +357,7 @@ func TestServerDrainUnderLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("listed artifact %s unreadable after drain", h)
 		}
-		if _, ok := experiments.SummarizeSeriesBlob(blob); !ok {
+		if _, _, ok := experiments.SummarizeSeriesBlob(blob); !ok {
 			t.Fatalf("artifact %s does not decode after drain", h)
 		}
 	}

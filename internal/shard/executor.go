@@ -78,6 +78,10 @@ type Executor struct {
 	mu      sync.Mutex
 	batches []*Batch
 
+	// wake holds one token per worker so that Submit can rouse every
+	// idle worker at once, rather than leave all but one asleep until
+	// their next Poll. A token a busy worker picks up later costs it one
+	// extra scan.
 	wake  chan struct{}
 	quit  chan struct{}
 	drain atomic.Bool
@@ -96,7 +100,7 @@ func NewExecutor(cfg Config, workers int) (*Executor, error) {
 	e := &Executor{
 		cfg:     cfg.withDefaults(),
 		workers: workers,
-		wake:    make(chan struct{}, 1),
+		wake:    make(chan struct{}, workers),
 		quit:    make(chan struct{}),
 	}
 	for i := 0; i < workers; i++ {
@@ -109,10 +113,11 @@ func NewExecutor(cfg Config, workers int) (*Executor, error) {
 // Workers reports the pool size.
 func (e *Executor) Workers() int { return e.workers }
 
-// Submit enqueues a batch and wakes the pool. A batch whose cells are all
-// already terminal resolves immediately (its Done channel is closed
-// before Submit returns) without waking anyone. Submitting to a drained
-// executor still returns a live queue view, but nothing will execute.
+// Submit enqueues a batch and wakes every idle worker. A batch whose
+// cells are all already terminal resolves immediately (its Done channel
+// is closed before Submit returns) without waking anyone. Submitting to a
+// drained executor still returns a live queue view, but nothing will
+// execute.
 func (e *Executor) Submit(spec BatchSpec) (*Batch, error) {
 	if spec.NewRunner == nil {
 		return nil, fmt.Errorf("shard: BatchSpec.NewRunner is required")
@@ -129,9 +134,11 @@ func (e *Executor) Submit(spec BatchSpec) (*Batch, error) {
 	e.mu.Lock()
 	e.batches = append(e.batches, b)
 	e.mu.Unlock()
-	select {
-	case e.wake <- struct{}{}:
-	default:
+	for i := 0; i < e.workers; i++ {
+		select {
+		case e.wake <- struct{}{}:
+		default:
+		}
 	}
 	return b, nil
 }

@@ -3,12 +3,16 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mglrusim/internal/checkpoint"
 	"mglrusim/internal/core"
 	"mglrusim/internal/experiments"
+	"mglrusim/internal/mem"
+	"mglrusim/internal/policy"
+	"mglrusim/internal/sim"
 )
 
 func sweepCells(t *testing.T, opts experiments.Options) []experiments.CellSpec {
@@ -305,4 +309,88 @@ func mustQueue(t *testing.T, cfg Config, cells []experiments.CellSpec) *Queue {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// rendezvousPolicy blocks its first page-in until every cell of the batch
+// has started (or release closes), so a batch of such cells resolves only
+// when the pool runs them all at once.
+type rendezvousPolicy struct {
+	policy.Policy
+	started      func()
+	all, release <-chan struct{}
+	arrived      bool
+}
+
+func (p *rendezvousPolicy) PageIn(v *sim.Env, f mem.FrameID, sh *policy.Shadow) {
+	if !p.arrived {
+		p.arrived = true
+		p.started()
+		select {
+		case <-p.all:
+		case <-p.release:
+		}
+	}
+	p.Policy.PageIn(v, f, sh)
+}
+
+// TestExecutorSubmitWakesEveryIdleWorker: a Submit must wake every idle
+// worker, not just one. With a 1-minute Poll, a 2-cell batch whose cells
+// each wait for the other to start only resolves promptly if both idle
+// workers picked it up at submit time.
+func TestExecutorSubmitWakesEveryIdleWorker(t *testing.T) {
+	opts := fastOpts()
+	store := openStore(t)
+	cfg := calmCfg(t, store)
+	cfg.Poll = time.Minute
+	cells, err := experiments.SweepCells(opts, experiments.SweepSpec{
+		Workloads: []string{"ycsb-c"},
+		Policies:  []string{experiments.PolFIFO, experiments.PolRandom},
+		Base:      core.DefaultSystemConfig(),
+		Ratios:    []float64{0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("sweep enumerates %d cells, want 2", len(cells))
+	}
+
+	var running atomic.Int32
+	all, release := make(chan struct{}), make(chan struct{})
+	started := func() {
+		if running.Add(1) == int32(len(cells)) {
+			close(all)
+		}
+	}
+	resolve := func(cell experiments.CellSpec) (experiments.WorkloadSpec, experiments.PolicySpec, error) {
+		w, p, err := RegistryResolve(cell, opts.Scale)
+		if err != nil {
+			return w, p, err
+		}
+		inner := p.Make
+		p.Make = func() policy.Policy {
+			return &rendezvousPolicy{Policy: inner(), started: started, all: all, release: release}
+		}
+		return w, p, nil
+	}
+
+	e, err := NewExecutor(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanup order: unblock any waiting cell, then drain the pool.
+	defer e.Drain()
+	defer close(release)
+	// Let both workers finish their startup scan and go idle.
+	time.Sleep(100 * time.Millisecond)
+	b, err := e.Submit(BatchSpec{Cells: cells, NewRunner: newRunnerFn(opts, store), Resolve: resolve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-b.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("batch unresolved after 10s with %d of %d cells running: Submit left an idle worker asleep",
+			running.Load(), len(cells))
+	}
 }
