@@ -34,3 +34,29 @@ func TestFigureMatrixDigest(t *testing.T) {
 		t.Fatalf("figure matrix digest = %s, want %s", got, figureMatrixDigest)
 	}
 }
+
+// extensionDigest is the SHA-256 of `pagebench -figure ext1,ext2,ext3
+// -trials 2 -scale 0.2`: each extension figure's Render() plus a newline.
+const extensionDigest = "eb843329200927f7f0a88a0418e43e43a868741a2a0bc5d6c8fc9e06cf7c4e3c"
+
+// TestExtensionDigest pins the bytes of the three extension figures.
+// ext1 is the only figure that injects swap-targeted device faults, and
+// ext3 the only one that degrades the file backing device, so this is
+// the byte gate for both consumers of the fault plane.
+func TestExtensionDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow: renders the extension figures")
+	}
+	r := NewRunner(Options{Trials: 2, Scale: 0.2, Seed: 0x5EED, Parallelism: 2})
+	h := sha256.New()
+	for _, id := range ExtensionIDs() {
+		res, err := Extensions[id](r)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		h.Write([]byte(res.Render() + "\n"))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != extensionDigest {
+		t.Fatalf("extension digest = %s, want %s", got, extensionDigest)
+	}
+}
