@@ -154,11 +154,6 @@ type Metrics struct {
 	FileDevice swap.Stats
 }
 
-// The page cache detects recoverable-I/O devices structurally (it cannot
-// import the fault package); this pin keeps the wrapper satisfying that
-// contract.
-var _ pagecache.FallibleDevice = (*fault.Device)(nil)
-
 // LivelockError reports a trial whose workload made no progress for a
 // full watchdog window: the virtual system is livelocked (or stalled past
 // any plausible I/O time) and would otherwise simulate forever. The
@@ -299,8 +294,8 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	// cache exists only when enabled AND the workload maps file pages, so
 	// anon-only runs keep their exact historical event order. A
 	// file-targeted fault plan wraps the backing device on its own RNG
-	// stream; the cache detects the wrapper (FallibleDevice) and degrades
-	// kernel-fashion instead of letting hard errors kill the trial.
+	// stream; the cache degrades kernel-fashion on the errors it returns
+	// instead of failing the trial.
 	var fc *pagecache.Cache
 	var ffdev *fault.Device
 	if sys.PageCache.Enabled {
@@ -313,7 +308,7 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 			// and gating on targeting alone keeps the install decision
 			// independent of which knobs the plan happens to set.
 			if sys.Fault.TargetsFile() {
-				ffdev = fault.Wrap(filedev, sys.Fault, nil, sysRNG.Stream(7))
+				ffdev = fault.WrapFile(filedev, sys.Fault, sysRNG.Stream(7))
 				filedev = ffdev
 			}
 			fc = pagecache.New(sys.PageCache, eng, table, memory, filedev, spans)

@@ -10,6 +10,7 @@ import (
 	"mglrusim/internal/core"
 	"mglrusim/internal/fault"
 	"mglrusim/internal/mem"
+	"mglrusim/internal/pagecache"
 	"mglrusim/internal/policy"
 	"mglrusim/internal/policy/clock"
 	"mglrusim/internal/sim"
@@ -305,5 +306,37 @@ func TestExtensionRegistry(t *testing.T) {
 	ids := ExtensionIDs()
 	if len(ids) != len(Extensions) {
 		t.Fatalf("ExtensionIDs() = %v", ids)
+	}
+}
+
+// TestDeviceHardErrorBothConsumers drives one certain-failure read plan
+// (every read fails, no retry budget) through both consumers of the
+// device I/O API. On the swap path the error fails core.RunTrial with a
+// typed, retryable *fault.HardError; targeted at the file backing
+// device, the page cache absorbs every failure and the trial completes.
+func TestDeviceHardErrorBothConsumers(t *testing.T) {
+	plan := fault.Plan{ReadErrors: fault.ReadErrorConfig{Prob: 1, MaxRetries: 0}}
+
+	sys := SystemAt(0.5, core.SwapSSD)
+	sys.Fault = plan
+	_, err := core.RunTrial(WorkloadByName("ycsb-c", 0.1).Make(), PolicyByName(PolClock).Make, sys, 0xABCD, 7)
+	var hard *fault.HardError
+	if err == nil || !errors.As(err, &hard) {
+		t.Fatalf("swap hard read error: trial err = %v, want a *fault.HardError", err)
+	}
+	if !Retryable(err) {
+		t.Fatalf("swap hard read error not retryable: %v", err)
+	}
+
+	sys = SystemAt(0.5, core.SwapSSD)
+	sys.PageCache = pagecache.DefaultConfig()
+	sys.Fault = plan
+	sys.Fault.Target = fault.TargetFile
+	m, err := core.RunTrial(WorkloadByName("serve", 0.1).Make(), PolicyByName(PolClock).Make, sys, 0xABCD, 7)
+	if err != nil {
+		t.Fatalf("file hard read errors failed the trial: %v", err)
+	}
+	if m.FileCache.FileIOErrors == 0 {
+		t.Fatalf("no file I/O errors recorded: %+v", m.FileCache)
 	}
 }

@@ -3,8 +3,11 @@
 // whole-device stalls, transient read errors with kernel-style bounded
 // retry + exponential backoff, zram pool mem-limit exhaustion with
 // writeback-to-SSD fallback or reclaim stall, and swap-area exhaustion
-// (which drives the OOM-killer model in internal/vmm) — and Wrap applies
-// it to any swap.Device.
+// (which drives the OOM-killer model in internal/vmm). Wrap applies it to
+// the swap device and WrapFile to the page cache's file backing device.
+// A wrapper's ReadPage, WritePage and PrefetchPage return a *HardError
+// when an I/O fails past its retry budget; the caller decides whether
+// that fails the trial (the swap path) or degrades (the page cache).
 //
 // Everything is seeded: storm arrival times, storm durations, per-I/O
 // extra latency, and read-error coin flips all draw from one RNG stream in
@@ -212,8 +215,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // HardError is an unrecoverable injected device error: an I/O whose retry
-// budget is exhausted. On the swap path it is panicked from the device
-// model, surfaces as the trial error, and is classified as
+// budget is exhausted, returned by the wrapper's I/O methods. The swap
+// path panics it, so it surfaces as the trial error and is classified as
 // retryable-with-a-fresh-seed by the experiment harness. The page cache
 // instead absorbs it into a kernel-faithful degradation path (poisoned
 // page / error ledger) and the trial continues.

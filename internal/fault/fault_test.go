@@ -117,17 +117,19 @@ func TestTransientReadErrorsRetry(t *testing.T) {
 	}
 }
 
-// TestHardReadErrorFailsTrial: exhausting the retry budget panics a
-// *HardError that surfaces as the engine's run error, preserving the
-// typed cause through the wrap chain (the harness' retry classifier
-// depends on errors.As finding it).
+// TestHardReadErrorFailsTrial: exhausting the retry budget returns a
+// *HardError; panicked the way the swap path does, it surfaces as the
+// engine's run error, preserving the typed cause through the wrap chain
+// (the harness' retry classifier depends on errors.As finding it).
 func TestHardReadErrorFailsTrial(t *testing.T) {
 	e := sim.NewEngine(2)
 	rng := sim.NewRNG(4)
 	plan := Plan{ReadErrors: ReadErrorConfig{Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond}}
 	d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
 	e.Spawn("reader", false, func(v *sim.Env) {
-		d.ReadPage(v, 0, 1, 0)
+		if err := d.ReadPage(v, 0, 1, 0); err != nil {
+			panic(err)
+		}
 	})
 	err := e.Run()
 	if err == nil {

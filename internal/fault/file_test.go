@@ -59,7 +59,7 @@ func writeScenario(t *testing.T, seed uint64, plan Plan, n int) ([]sim.Time, Sta
 	var firstErr error
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < n; i++ {
-			if err := d.WritePageErr(v, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
+			if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			ends = append(ends, v.Now())
@@ -89,9 +89,9 @@ func TestTransientWriteErrorsRetry(t *testing.T) {
 	}
 }
 
-// TestHardWriteErrorReturned: WritePageErr must RETURN the typed hard
-// error rather than panic — the page cache turns it into an errseq
-// ledger entry, not a dead trial.
+// TestHardWriteErrorReturned: WritePage must RETURN the typed hard error
+// rather than panic — the page cache turns it into an errseq ledger
+// entry, not a dead trial.
 func TestHardWriteErrorReturned(t *testing.T) {
 	_, stats, err := writeScenario(t, 8, Plan{WriteErrors: WriteErrorConfig{
 		Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond,
@@ -111,17 +111,17 @@ func TestHardWriteErrorReturned(t *testing.T) {
 	}
 }
 
-// TestPrefetchErrSilent: PrefetchPageErr flags the failure to the caller
-// and counts it, but never retries and never panics — readahead is
-// speculative, the kernel just abandons it.
+// TestPrefetchErrSilent: a file-device PrefetchPage flags the failure to
+// the caller and counts it, but never retries and never panics —
+// readahead is speculative, the kernel just abandons it.
 func TestPrefetchErrSilent(t *testing.T) {
 	e := sim.NewEngine(2)
 	rng := sim.NewRNG(9)
 	plan := Plan{ReadErrors: ReadErrorConfig{Prob: 1, MaxRetries: 10, Backoff: sim.Millisecond}}
-	d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
+	d := WrapFile(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, rng.Stream(2))
 	var err error
 	e.Spawn("ra", false, func(v *sim.Env) {
-		err = d.PrefetchPageErr(v, 0, 1, 0)
+		err = d.PrefetchPage(v, 0, 1, 0)
 	})
 	if rerr := e.Run(); rerr != nil {
 		t.Fatalf("prefetch error escalated to the engine: %v", rerr)
@@ -147,8 +147,14 @@ func TestZeroPlanTransparency(t *testing.T) {
 		rng := sim.NewRNG(0xFACADE)
 		var dev swap.Device = swap.NewSSD(ssdCfg(), e, rng.Stream(1))
 		var fd *Device
-		if wrap {
+		switch {
+		case !wrap:
+		case target == TargetFile:
+			fd = WrapFile(dev, Plan{Target: target}, rng.Stream(2))
+		default:
 			fd = Wrap(dev, Plan{Target: target}, nil, rng.Stream(2))
+		}
+		if fd != nil {
 			dev = fd
 		}
 		var ends []sim.Time
@@ -186,27 +192,37 @@ func TestZeroPlanTransparency(t *testing.T) {
 	}
 }
 
-// TestErrVariantTimingParity: the Err-returning entry points must draw
-// the same RNG sequence and charge the same latency as the panicking
-// ones, so the page cache's adoption of them moves nothing.
+// TestErrVariantTimingParity: the swap wrapper (Wrap) and the file
+// wrapper (WrapFile) must draw the same RNG sequence and charge the same
+// latency for ReadPage and WritePage, so one implementation serves both
+// planes. They differ only on PrefetchPage: the swap wrapper flips no
+// read-error coin — it returns nil and draws nothing, even at Prob 1 —
+// while the file wrapper flips exactly one.
 func TestErrVariantTimingParity(t *testing.T) {
 	plan := Plan{
-		Storms:     StormConfig{Rate: 20, MeanDuration: 20 * sim.Millisecond, ExtraLatency: 2 * sim.Millisecond, Jitter: 0.4},
-		ReadErrors: ReadErrorConfig{Prob: 0.1, MaxRetries: 20, Backoff: 100 * sim.Microsecond},
+		Storms:      StormConfig{Rate: 20, MeanDuration: 20 * sim.Millisecond, ExtraLatency: 2 * sim.Millisecond, Jitter: 0.4},
+		ReadErrors:  ReadErrorConfig{Prob: 0.1, MaxRetries: 20, Backoff: 100 * sim.Microsecond},
+		WriteErrors: WriteErrorConfig{Prob: 0.1, MaxRetries: 20, Backoff: 100 * sim.Microsecond},
 	}
-	run := func(useErr bool) []sim.Time {
-		e := sim.NewEngine(2)
+	wrap := func(file bool, e *sim.Engine, plan Plan) *Device {
 		rng := sim.NewRNG(0xD15C)
-		d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
+		inner := swap.NewSSD(ssdCfg(), e, rng.Stream(1))
+		if file {
+			return WrapFile(inner, plan, rng.Stream(2))
+		}
+		return Wrap(inner, plan, nil, rng.Stream(2))
+	}
+	run := func(file bool) ([]sim.Time, Stats) {
+		e := sim.NewEngine(2)
+		d := wrap(file, e, plan)
 		var ends []sim.Time
-		e.Spawn("reader", false, func(v *sim.Env) {
+		e.Spawn("io", false, func(v *sim.Env) {
 			for i := 0; i < 200; i++ {
-				if useErr {
-					if err := d.ReadPageErr(v, swap.Slot(i%8), int64(i), 0); err != nil {
-						t.Errorf("unexpected hard error: %v", err)
-					}
-				} else {
-					d.ReadPage(v, swap.Slot(i%8), int64(i), 0)
+				if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil {
+					t.Errorf("unexpected hard write error: %v", err)
+				}
+				if err := d.ReadPage(v, swap.Slot(i%8), int64(i), 0); err != nil {
+					t.Errorf("unexpected hard read error: %v", err)
 				}
 				ends = append(ends, v.Now())
 			}
@@ -214,12 +230,52 @@ func TestErrVariantTimingParity(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return ends
+		return ends, d.FaultStats()
 	}
-	a, b := run(false), run(true)
+	a, sa := run(false)
+	b, sb := run(true)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("op %d: ReadPage at %v but ReadPageErr at %v", i, a[i], b[i])
+			t.Fatalf("op %d: swap wrapper at %v but file wrapper at %v", i, a[i], b[i])
+		}
+	}
+	if sa != sb {
+		t.Fatalf("stats diverge:\nswap %+v\nfile %+v", sa, sb)
+	}
+	if sa.TransientReadErrors == 0 || sa.TransientWriteErrors == 0 {
+		t.Fatalf("no errors injected; parity is vacuous: %+v", sa)
+	}
+
+	certain := Plan{ReadErrors: ReadErrorConfig{Prob: 1}}
+	for _, file := range []bool{false, true} {
+		e := sim.NewEngine(2)
+		d := wrap(file, e, certain)
+		var errs int
+		e.Spawn("ra", false, func(v *sim.Env) {
+			for i := 0; i < 10; i++ {
+				if d.PrefetchPage(v, swap.Slot(i), int64(i), 0) != nil {
+					errs++
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if file {
+			want = 10
+		}
+		if errs != want || d.FaultStats().PrefetchErrors != uint64(want) {
+			t.Fatalf("file=%v: %d prefetch errors (stats %+v), want %d", file, errs, d.FaultStats(), want)
+		}
+		// The next draw on the wrapper's stream shows how many coins the
+		// prefetches consumed.
+		fresh := sim.NewRNG(0xD15C).Stream(2)
+		for i := 0; i < want; i++ {
+			fresh.Float64()
+		}
+		if got, exp := d.rng.Uint64(), fresh.Uint64(); got != exp {
+			t.Fatalf("file=%v: prefetches drew the wrong number of coins", file)
 		}
 	}
 }

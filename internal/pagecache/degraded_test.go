@@ -50,7 +50,7 @@ func TestCacheStatsAddComplete(t *testing.T) {
 	}
 }
 
-// flakyDevice is a scripted FallibleDevice: reads/writes/prefetches fail
+// flakyDevice is a scripted swap.Device: reads/writes/prefetches fail
 // by slot membership in the fail sets, with a fixed latency charge so
 // tests stay deterministic without a real device model underneath.
 type flakyDevice struct {
@@ -74,23 +74,7 @@ func newFlaky() *flakyDevice {
 
 func (d *flakyDevice) Name() string { return "flaky" }
 
-func (d *flakyDevice) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
-	if err := d.ReadPageErr(v, slot, vpn, version); err != nil {
-		panic(err)
-	}
-}
-
-func (d *flakyDevice) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
-	if err := d.WritePageErr(v, slot, vpn, version); err != nil {
-		panic(err)
-	}
-}
-
-func (d *flakyDevice) PrefetchPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
-	d.PrefetchPageErr(v, slot, vpn, version)
-}
-
-func (d *flakyDevice) ReadPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+func (d *flakyDevice) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	d.stats.Reads++
 	v.Sleep(d.lat)
 	if d.failReads[slot] {
@@ -99,7 +83,7 @@ func (d *flakyDevice) ReadPageErr(v *sim.Env, slot swap.Slot, vpn int64, version
 	return nil
 }
 
-func (d *flakyDevice) WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+func (d *flakyDevice) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	if d.panicWrites[slot] {
 		panic(fmt.Errorf("flaky: scripted write panic on slot %d", slot))
 	}
@@ -111,7 +95,7 @@ func (d *flakyDevice) WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, versio
 	return nil
 }
 
-func (d *flakyDevice) PrefetchPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+func (d *flakyDevice) PrefetchPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	d.stats.Reads++
 	v.Sleep(d.lat)
 	if d.failPrefetch[slot] {
@@ -124,7 +108,7 @@ func (d *flakyDevice) FreeSlot(slot swap.Slot) {}
 func (d *flakyDevice) Drain(v *sim.Env)        {}
 func (d *flakyDevice) Stats() swap.Stats       { return d.stats }
 
-var _ pagecache.FallibleDevice = (*flakyDevice)(nil)
+var _ swap.Device = (*flakyDevice)(nil)
 
 // flakyHarness builds a cache over the flaky device: 256 file pages in
 // two spans, 100-frame memory.

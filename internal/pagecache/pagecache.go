@@ -12,6 +12,13 @@
 // the anonymous path in internal/vmm, where a page's swap slot is
 // assigned at first eviction and adjacency is eviction-order luck.
 //
+// The backing device is a plain swap.Device. When one of its I/O
+// methods returns an error (a fault-plane wrapper whose retry budget is
+// exhausted), the cache degrades the way the kernel does instead of
+// failing the trial: a failed demand read poisons the page, a failed
+// prefetch is abandoned, and a failed writeback lands in the file's
+// errseq-style ledger.
+//
 // The cache never owns frames or PTEs; internal/vmm remains the only
 // writer of both. It owns what the kernel's address_space owns: the
 // file-offset mapping, the dirty set, the writeback schedule, and the
@@ -174,19 +181,6 @@ func (s *Stats) Add(other Stats) {
 	s.ThrottleStallTime += other.ThrottleStallTime
 }
 
-// FallibleDevice is a backing device whose I/O can fail recoverably —
-// the fault plane's *fault.Device implements it (asserted in
-// internal/core, which owns the wiring; this package stays free of a
-// fault dependency). When New receives a device that satisfies it, the
-// cache routes I/O through the Err variants and degrades the way the
-// kernel does instead of letting a *HardError panic kill the trial.
-type FallibleDevice interface {
-	swap.Device
-	ReadPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error
-	WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error
-	PrefetchPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error
-}
-
 // FlusherError classifies a panic that unwound the flusher daemon: the
 // trial fails with writeback context (how much was dirty) instead of a
 // bare panic string, and the experiment harness can unwrap the cause for
@@ -230,9 +224,6 @@ type Cache struct {
 	table *pagetable.Table
 	memry *mem.Memory
 	dev   swap.Device
-	// fdev is dev when it supports recoverable I/O errors (a fault-plane
-	// wrapper); nil otherwise. All degradation paths are gated on it.
-	fdev FallibleDevice
 
 	// files is sorted by Base; backing slots are assigned in the same
 	// order, so slot order equals VPN order and both directions of the
@@ -306,10 +297,7 @@ func New(cfg Config, eng *sim.Engine, table *pagetable.Table, memry *mem.Memory,
 			c.hardThreshold = c.threshold + 1
 		}
 	}
-	if fd, ok := dev.(FallibleDevice); ok {
-		c.fdev = fd
-		c.poisoned = make([]uint64, (c.totalPages+63)/64)
-	}
+	c.poisoned = make([]uint64, (c.totalPages+63)/64)
 	c.fileErrs = make([]FileErrors, len(c.files))
 	for i, f := range c.files {
 		c.fileErrs[i].Name = f.Name
@@ -353,20 +341,15 @@ func (c *Cache) fileIndexOf(slot swap.Slot) int {
 // --- fault-path service ---
 
 // ReadPage blocks the calling proc for the backing read of vpn — the
-// file major-fault service. It reports whether the read succeeded: on a
-// fallible device whose retry budget is exhausted the page is poisoned
-// in the mapping (hwpoison-style) and the caller must fail the fault
-// SIGBUS-fashion — skip the install, free the frame, keep running. On a
-// plain device it always succeeds (a hard error panics, historical
-// behaviour).
+// file major-fault service. It reports whether the read succeeded: when
+// the device returns an error (a fault-plane wrapper whose retry budget
+// is exhausted) the page is poisoned in the mapping (hwpoison-style) and
+// the caller must fail the fault SIGBUS-fashion — skip the install, free
+// the frame, keep running.
 func (c *Cache) ReadPage(v *sim.Env, vpn pagetable.VPN) bool {
 	slot := c.mustSlot(vpn)
 	c.stats.Reads++
-	if c.fdev == nil {
-		c.dev.ReadPage(v, slot, int64(vpn), 0)
-		return true
-	}
-	if err := c.fdev.ReadPageErr(v, slot, int64(vpn), 0); err != nil {
+	if err := c.dev.ReadPage(v, slot, int64(vpn), 0); err != nil {
 		c.poison(slot)
 		c.stats.FileIOErrors++
 		if c.tr != nil {
@@ -385,11 +368,7 @@ func (c *Cache) ReadPage(v *sim.Env, vpn pagetable.VPN) bool {
 func (c *Cache) PrefetchPage(v *sim.Env, vpn pagetable.VPN) bool {
 	slot := c.mustSlot(vpn)
 	c.stats.ReadaheadReads++
-	if c.fdev == nil {
-		c.dev.PrefetchPage(v, slot, int64(vpn), 0)
-		return true
-	}
-	return c.fdev.PrefetchPageErr(v, slot, int64(vpn), 0) == nil
+	return c.dev.PrefetchPage(v, slot, int64(vpn), 0) == nil
 }
 
 func (c *Cache) poison(slot swap.Slot) {
@@ -547,8 +526,8 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 // PageOut writes a dirty page back at eviction time (reclaim reached it
 // before the flusher). The write is scheduled on the backing device with
 // its usual asynchronous semantics; the calling proc may block on
-// writeback backpressure. On a fallible device a write past its retry
-// budget lands in the file's error ledger instead of failing reclaim.
+// writeback backpressure. A write the device fails lands in the file's
+// error ledger instead of failing reclaim.
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
 	slot := c.mustSlot(vpn)
 	c.stats.PageOuts++
@@ -564,11 +543,7 @@ func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
 // re-dirty pages after failed writeback — so the dirty set, and with it
 // the hard throttle, still drains on an erroring device.
 func (c *Cache) writePage(v *sim.Env, slot swap.Slot, vpn int64) {
-	if c.fdev == nil {
-		c.dev.WritePage(v, slot, vpn, 0)
-		return
-	}
-	if err := c.fdev.WritePageErr(v, slot, vpn, 0); err != nil {
+	if err := c.dev.WritePage(v, slot, vpn, 0); err != nil {
 		c.stats.WriteErrors++
 		c.stats.DataAtRisk++
 		fe := &c.fileErrs[c.fileIndexOf(slot)]

@@ -97,15 +97,20 @@ type TracerSetter interface {
 // blocks the calling proc for the device's service time. WritePage is the
 // reclaim path; depending on the medium it may be asynchronous (SSD
 // writeback) or synchronous CPU work (ZRAM compression).
+//
+// The three I/O methods return an error for an I/O that failed past any
+// retry (only a fault-plane wrapper ever fails one); the caller decides
+// whether that fails the trial or degrades. The media themselves always
+// return nil.
 type Device interface {
 	Name() string
-	ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32)
-	WritePage(v *sim.Env, slot Slot, vpn int64, version uint32)
+	ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error
+	WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error
 	// PrefetchPage reads slot as part of a readahead cluster anchored at
 	// a blocking demand read: on a block device the transfer is amortized
 	// into the cluster I/O, on ZRAM each page still pays decompression
 	// CPU.
-	PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32)
+	PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32) error
 	// FreeSlot releases any backing resources for slot (zram pool space).
 	FreeSlot(slot Slot)
 	// Drain blocks until all in-flight asynchronous writes have completed.
@@ -200,7 +205,7 @@ func (d *SSD) service(base sim.Duration) sim.Time {
 
 // ReadPage implements Device: the calling proc blocks for the full queueing
 // plus service time.
-func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
+func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	done := d.service(d.cfg.ReadLatency)
 	d.stats.Reads++
 	d.stats.ReadTime += int64(done - v.Now())
@@ -208,12 +213,13 @@ func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
 		d.tr.Emit(d.trTrack, "ssd-read", v.Now(), int64(done-v.Now()), int64(slot))
 	}
 	v.SleepUntil(done)
+	return nil
 }
 
 // WritePage implements Device: the write is submitted asynchronously, but
 // the caller blocks first if too many writebacks are already in flight —
 // this is the reclaim backpressure that can stall eviction under thrash.
-func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) {
+func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	var stall telemetry.Span
 	if d.tr != nil && d.inWrite >= d.cfg.MaxDirtyWrites {
 		stall = d.tr.Begin(d.tr.Track(v.Proc().Name()), "writeback-stall")
@@ -234,13 +240,15 @@ func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) {
 		d.inWrite--
 		d.wcond.Broadcast(d.eng)
 	})
+	return nil
 }
 
 // PrefetchPage implements Device: the page rides the cluster I/O of the
 // anchoring demand read; only a small per-page completion cost applies.
-func (d *SSD) PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
+func (d *SSD) PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	d.stats.Reads++
 	v.Charge(20 * sim.Microsecond)
+	return nil
 }
 
 // FreeSlot implements Device; SSD space needs no bookkeeping.
@@ -326,7 +334,7 @@ func (d *ZRAM) jittered(base sim.Duration) sim.Duration {
 }
 
 // ReadPage implements Device: decompression burns CPU on the caller.
-func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
+func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	lat := d.jittered(d.cfg.ReadLatency)
 	d.stats.Reads++
 	d.stats.ReadTime += lat
@@ -334,11 +342,12 @@ func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
 		d.tr.Emit(d.tr.Track(v.Proc().Name()), "zram-read", v.Now(), lat, int64(slot))
 	}
 	v.Charge(lat)
+	return nil
 }
 
 // WritePage implements Device: compression burns CPU on the caller and the
 // compressed size is measured with the real compressor.
-func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) {
+func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	lat := d.jittered(d.cfg.WriteLatency)
 	d.stats.Writes++
 	d.stats.WriteTime += lat
@@ -347,12 +356,13 @@ func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) {
 		d.tr.Emit(d.tr.Track(v.Proc().Name()), "zram-write", v.Now(), lat, int64(slot))
 	}
 	v.Charge(lat)
+	return nil
 }
 
 // PrefetchPage implements Device: ZRAM readahead still decompresses every
 // page on the faulting CPU.
-func (d *ZRAM) PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32) {
-	d.ReadPage(v, slot, vpn, version)
+func (d *ZRAM) PrefetchPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
+	return d.ReadPage(v, slot, vpn, version)
 }
 
 // FreeSlot implements Device.

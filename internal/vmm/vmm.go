@@ -285,10 +285,20 @@ func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
 			*m.versions.At(int(vpn))++
 		}
 		m.counters.SwapOuts++
-		m.dev.WritePage(v, slot, int64(vpn), m.versions.Peek(int(vpn)))
+		mustIO(m.dev.WritePage(v, slot, int64(vpn), m.versions.Peek(int(vpn))))
 	}
 	fr.VPN = -1
 	m.memry.Free(f)
+}
+
+// mustIO fails the trial on a swap-device error. The swap path has no
+// degraded mode: a read or write the device could not complete (a
+// *fault.HardError) panics, the engine turns the panic into the trial
+// error, and the experiment harness classifies it as retryable.
+func mustIO(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // evictFilePage is EvictPage's page-cache branch. No swap slot is ever
@@ -422,7 +432,7 @@ func (m *Manager) Fault(v *sim.Env, vpn pagetable.VPN, write bool) {
 		v.Charge(m.cfg.MajorFaultOverhead)
 		// Re-read the slot at issue time: the historical long-lived PTE
 		// pointer observed concurrent OOM reaping here, and so must we.
-		m.dev.ReadPage(v, m.table.SwapOf(vpn), int64(vpn), m.versions.Peek(int(vpn)))
+		mustIO(m.dev.ReadPage(v, m.table.SwapOf(vpn), int64(vpn), m.versions.Peek(int(vpn))))
 	} else {
 		m.counters.MinorFaults++
 		v.Charge(m.cfg.MinorFaultOverhead)
@@ -513,7 +523,7 @@ func (m *Manager) readahead(v *sim.Env, at pagetable.VPN, slot int32) {
 			m.audit.PrefetchIn(v, vpn2, hadShadow)
 		}
 		m.counters.ReadaheadIn++
-		m.dev.PrefetchPage(v, s2, owner, m.versions.Peek(int(vpn2)))
+		mustIO(m.dev.PrefetchPage(v, s2, owner, m.versions.Peek(int(vpn2))))
 		m.pol.PageIn(v, f, nil)
 	}
 }
