@@ -107,27 +107,3 @@ func (r *Runner) MatrixCells(ws []WorkloadSpec, ps []PolicySpec, sys core.System
 	SortCells(cells)
 	return cells
 }
-
-// Prefiller is the sharded execution strategy: it executes enumerated
-// cells ahead of the in-process sweep — typically across worker processes
-// sharing the runner's checkpoint store — so the sweep itself resumes
-// every cell from disk. internal/shard provides the implementations.
-type Prefiller interface {
-	Prefill(cells []CellSpec) error
-}
-
-// RunMatrixSharded executes the matrix with the Sharded strategy: the
-// cell set is enumerated, handed to the Prefiller to execute into the
-// shared checkpoint store, and the matrix is then swept normally —
-// completed cells resume from the store, quarantined (poison) cells fail
-// through Options.Veto as per-cell errors without re-execution, and the
-// result degrades gracefully exactly like RunMatrix.
-func (r *Runner) RunMatrixSharded(pf Prefiller, ws []WorkloadSpec, ps []PolicySpec, sys core.SystemConfig) (*MatrixResult, error) {
-	if r.opts.Checkpoint == nil {
-		return nil, fmt.Errorf("experiments: sharded execution requires Options.Checkpoint (the store workers share)")
-	}
-	if err := pf.Prefill(r.MatrixCells(ws, ps, sys)); err != nil {
-		return nil, fmt.Errorf("experiments: sharded prefill: %w", err)
-	}
-	return r.RunMatrix(ws, ps, sys)
-}

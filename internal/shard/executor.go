@@ -61,11 +61,10 @@ func (b *Batch) runner(slot int) *experiments.Runner {
 	return r
 }
 
-// Executor is the embeddable in-process execution strategy for serving:
-// a long-lived pool of N worker goroutines multiplexed over dynamically
-// submitted batches. Where Pool runs one fixed cell set to completion and
-// returns, an Executor accepts batches for as long as it lives — the
-// sweep server's scheduling substrate. Workers speak the full on-disk
+// Executor is the in-process execution strategy: a long-lived pool of N
+// worker goroutines multiplexed over dynamically submitted batches. It
+// accepts batches for as long as it lives — the sweep server's scheduling
+// substrate; a fixed cell set is one Submit followed by a wait on Done. Workers speak the full on-disk
 // queue protocol (leases, attempt records, poison quarantine), so
 // executors in different processes sharing a store and queue directory
 // cooperate exactly like pagebench worker processes do, and cells shared
@@ -89,7 +88,7 @@ type Executor struct {
 }
 
 // NewExecutor starts an executor with the given worker count (<=0 means
-// 4, matching Pool).
+// 4).
 func NewExecutor(cfg Config, workers int) (*Executor, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("shard: Config.Store is required")

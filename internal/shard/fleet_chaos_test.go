@@ -311,18 +311,14 @@ func TestTransientIOBlipsConvergeByteIdentical(t *testing.T) {
 	ws := []experiments.WorkloadSpec{experiments.WorkloadByName("ycsb-c", opts.Scale)}
 	ps := experiments.Policies(experiments.PolClock, experiments.PolFIFO)
 	sys := experiments.SystemAt(0.5, core.SwapSSD)
-	pool := &Pool{Cfg: cfg, Workers: 2, NewRunner: func() *experiments.Runner {
-		o := opts
-		o.Checkpoint = store
-		return experiments.NewRunner(o)
-	}}
 	sweepOpts := opts
 	sweepOpts.Checkpoint = store
 	sweepOpts.Veto = Veto(cfg.Dir)
 	r := experiments.NewRunner(sweepOpts)
-	res, err := r.RunMatrixSharded(pool, ws, ps, sys)
+	runBatch(t, cfg, 2, BatchSpec{Cells: r.MatrixCells(ws, ps, sys), NewRunner: newRunnerFn(opts, store)})
+	res, err := r.RunMatrix(ws, ps, sys)
 	if err != nil {
-		t.Fatalf("RunMatrixSharded under I/O blips: %v", err)
+		t.Fatalf("RunMatrix under I/O blips: %v", err)
 	}
 	if !res.Complete() {
 		t.Fatalf("matrix incomplete under transient blips: %+v", res.Failed)
@@ -387,14 +383,7 @@ func TestTornLeaseFilesQuarantinedAndConverge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pool := &Pool{Cfg: cfg, Workers: 2, NewRunner: func() *experiments.Runner {
-		o := opts
-		o.Checkpoint = store
-		return experiments.NewRunner(o)
-	}}
-	if err := pool.Prefill(cells); err != nil {
-		t.Fatal(err)
-	}
+	runBatch(t, cfg, 2, BatchSpec{Cells: cells, NewRunner: newRunnerFn(opts, store)})
 	for _, c := range cells {
 		if !store.Has(c.Key) {
 			t.Fatalf("cell %s/%s unexecuted behind torn lease", c.Workload, c.Policy)

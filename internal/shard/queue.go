@@ -281,7 +281,7 @@ func RegistryResolve(cell experiments.CellSpec, scale float64) (w experiments.Wo
 
 // RunWorker processes the queue until every cell is terminal (done or
 // poisoned) or the drain flag is raised. It is the body of a `pagebench
-// -worker` process, and equally runnable as a goroutine (Pool). The
+// -worker` process, and equally runnable as a goroutine. The
 // returned error covers infrastructure failures only (unreachable queue
 // directory); cell failures are recorded in the queue, never returned.
 func (q *Queue) RunWorker(wc WorkerConfig) error {

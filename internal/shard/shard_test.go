@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +45,48 @@ func openStore(t *testing.T) *checkpoint.Store {
 	return store
 }
 
+// lockedBuffer is a goroutine-safe io.Writer for executor progress lines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// runBatch executes spec to a terminal state on a fresh executor with the
+// given worker count, then drains it so every counter has settled.
+// Executor workers log infrastructure errors rather than return them; any
+// such line fails the test.
+func runBatch(t *testing.T, cfg Config, workers int, spec BatchSpec) {
+	t.Helper()
+	var log lockedBuffer
+	cfg.Progress = &log
+	e, err := NewExecutor(cfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Submit(spec)
+	if err != nil {
+		e.Drain()
+		t.Fatal(err)
+	}
+	waitBatch(t, b)
+	e.Drain()
+	if out := log.String(); strings.Contains(out, "shard: executor worker") {
+		t.Fatalf("executor worker failed:\n%s", out)
+	}
+}
+
 func renderFig1(t *testing.T, opts experiments.Options) string {
 	t.Helper()
 	res, err := experiments.Figures["fig1"](experiments.NewRunner(opts))
@@ -54,8 +98,9 @@ func renderFig1(t *testing.T, opts experiments.Options) string {
 
 // TestShardedEquivalence is the strategy-equivalence property from the
 // paper-reproduction contract: a figure produced serially, with
-// in-process trial parallelism, and by a 4-worker sharded prefill
-// resuming from the shared store must render byte-identically.
+// in-process trial parallelism, and by a 4-worker executor filling a
+// shared store that the render then resumes from must render
+// byte-identically.
 func TestShardedEquivalence(t *testing.T) {
 	opts := fastOpts()
 	opts.Trials = 2
@@ -76,17 +121,10 @@ func TestShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := &Pool{Cfg: cfg, Workers: 4, NewRunner: func() *experiments.Runner {
-		o := opts
-		o.Checkpoint = store
-		return experiments.NewRunner(o)
-	}}
-	if err := pool.Prefill(cells); err != nil {
-		t.Fatal(err)
-	}
+	runBatch(t, cfg, 4, BatchSpec{Cells: cells, NewRunner: newRunnerFn(opts, store)})
 	for _, c := range cells {
 		if !store.Has(c.Key) {
-			t.Fatalf("prefill left cell %s/%s unexecuted", c.Workload, c.Policy)
+			t.Fatalf("executor left cell %s/%s unexecuted", c.Workload, c.Policy)
 		}
 	}
 	if got := cfg.Counters.Get("cells.completed"); got != int64(len(cells)) {
@@ -147,36 +185,19 @@ func TestPoisonCellQuarantined(t *testing.T) {
 	ps := experiments.Policies(experiments.PolClock, experiments.PolFIFO)
 	sys := experiments.SystemAt(0.5, core.SwapSSD)
 
-	pool := &Pool{
-		Cfg:     cfg,
-		Workers: 2,
-		NewRunner: func() *experiments.Runner {
-			o := opts
-			o.Checkpoint = store
-			return experiments.NewRunner(o)
-		},
-		Resolve: failingResolve(experiments.PolClock, opts.Scale),
-	}
-
 	sweepOpts := opts
 	sweepOpts.Checkpoint = store
 	sweepOpts.Veto = Veto(cfg.Dir)
 	r := experiments.NewRunner(sweepOpts)
 
-	done := make(chan struct{})
-	var res *experiments.MatrixResult
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = r.RunMatrixSharded(pool, ws, ps, sys)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("sharded matrix with a poison cell hung")
-	}
-	if runErr != nil {
-		t.Fatalf("RunMatrixSharded: %v", runErr)
+	runBatch(t, cfg, 2, BatchSpec{
+		Cells:     r.MatrixCells(ws, ps, sys),
+		NewRunner: newRunnerFn(opts, store),
+		Resolve:   failingResolve(experiments.PolClock, opts.Scale),
+	})
+	res, err := r.RunMatrix(ws, ps, sys)
+	if err != nil {
+		t.Fatalf("RunMatrix: %v", err)
 	}
 
 	if res.Complete() {
@@ -241,14 +262,12 @@ func TestDeterminismViolationQuarantinedWithArtifacts(t *testing.T) {
 	ps := experiments.Policies(experiments.PolMGLRU)
 	sys := experiments.SystemAt(0.5, core.SwapSSD)
 
-	pool := &Pool{
-		Cfg:     cfg,
-		Workers: 1,
-		NewRunner: func() *experiments.Runner {
-			o := opts
-			o.Checkpoint = store
-			return experiments.NewRunner(o)
-		},
+	sweepOpts := opts
+	sweepOpts.Checkpoint = store
+	r := experiments.NewRunner(sweepOpts)
+	runBatch(t, cfg, 1, BatchSpec{
+		Cells:     r.MatrixCells(ws, ps, sys),
+		NewRunner: newRunnerFn(opts, store),
 		Resolve: func(cell experiments.CellSpec) (experiments.WorkloadSpec, experiments.PolicySpec, error) {
 			w, p, err := RegistryResolve(cell, opts.Scale)
 			if err != nil {
@@ -260,14 +279,7 @@ func TestDeterminismViolationQuarantinedWithArtifacts(t *testing.T) {
 			}}
 			return w, p, nil
 		},
-	}
-
-	sweepOpts := opts
-	sweepOpts.Checkpoint = store
-	r := experiments.NewRunner(sweepOpts)
-	if err := pool.Prefill(r.MatrixCells(ws, ps, sys)); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	recs := Poisoned(cfg.Dir, r.MatrixCells(ws, ps, sys))
 	if len(recs) != 1 {
