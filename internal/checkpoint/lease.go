@@ -10,7 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -18,40 +18,33 @@ import (
 // ClaimDir hands out mutually-exclusive wall-clock leases over named
 // resources using nothing but a shared directory — no network, no
 // daemon, no flock (which silently degrades on some shared filesystems).
-// The protocol is built from the two atomic primitives every POSIX
-// filesystem (local or NFS) provides:
+// The protocol rests on one primitive every POSIX filesystem (local or
+// NFS) makes atomic: link(2), a create-if-absent.
 //
-//   - link(2) is an atomic create-if-absent: claiming a free resource is
-//     a link of a fully-written temp record into the lease name, so the
-//     name never exists with partial contents and exactly one of N
-//     concurrent claimants wins.
-//   - rename(2) atomically removes a name: stealing an expired lease is
-//     a rename of the stale file to a tombstone — exactly one contender
-//     wins the rename, and everyone else observes the name gone.
+// A resource's state is a sequence of immutable records named by fencing
+// epoch, <name>.lease-1, <name>.lease-2, ...; the highest epoch on disk
+// is the current state. Every transition — a first claim, a steal from
+// an expired or dead holder, a takeover of an undecodable record, and a
+// release (a record flagged Released) — links a fully-written record at
+// epoch E+1 after reading epoch E. Exactly one of N concurrent
+// contenders wins that link, so exactly one of N concurrent claimants
+// wins the lease. Records are never renamed, rewritten or removed, so
+// the epochs on disk are contiguous: each ClaimDir caches the highest
+// epoch it has seen per name and probes forward from it. (Deleting old
+// records would break that: a prober starting below the gap would hand
+// out a regressed epoch.)
 //
-// On top of those, three rules make the protocol safe for a fleet of
+// On top of that, three rules make the protocol safe for a fleet of
 // machines with skewed clocks and arbitrarily-stalled processes:
 //
-//   - Lease records are immutable and carry a monotonic fencing epoch.
-//     A record is written exactly once, at claim time; it is never
-//     rewritten. Renewal writes an epoch-scoped heartbeat sidecar
-//     (<name>.hb-<epoch>) instead, whose sole legitimate writer is the
-//     claim that owns that epoch — so a stalled holder resuming after a
-//     steal cannot resurrect or extend a lease it no longer holds, only
-//     touch an inert file nobody reads. Lease.Verify / the store's
-//     PutVerifyFenced compare epochs to fence such zombies at
-//     publication.
-//   - Epochs stay monotonic across release via a per-resource floor file
-//     (<name>.epoch), bumped durably to the new epoch BEFORE the claim
-//     record is linked in. The invariant "every live lease's epoch <= the
-//     floor" means a fresh claim after a release always picks a strictly
-//     newer epoch than anything that came before. (The floor bump is
-//     read-skip-if-newer rather than a true atomic max; a writer stalled
-//     between its floor read and write across two full claim/release
-//     cycles could briefly regress the cached floor. The live-record
-//     epoch comparison — the path every in-flight zombie actually hits —
-//     does not depend on the floor, and byte-verified publication backs
-//     the rest.)
+//   - The holder of epoch E is superseded exactly when epoch E+1 exists,
+//     so Renew and Lease.Verify are one read each. Renewal writes an
+//     epoch-scoped heartbeat sidecar (<name>.hb-<epoch>) instead of a
+//     record, whose sole legitimate writer is the claim that owns that
+//     epoch — so a stalled holder resuming after a steal cannot resurrect
+//     or extend a lease it no longer holds, only touch an inert file
+//     nobody reads. Lease.Verify / the store's PutVerifyFenced fence such
+//     zombies at publication.
 //   - Expiry honors a configurable skew grace: a lease is only stealable
 //     once the claimant's clock reads deadline+MaxSkew, so a holder whose
 //     clock runs up to MaxSkew behind the fleet still gets its full TTL.
@@ -59,11 +52,16 @@ import (
 //     owner identity parses, names this host, and its pid is provably
 //     dead (kill(pid,0) == ESRCH), waiting out the deadline serves
 //     nothing and the lease is reclaimed immediately.
+//   - An undecodable record (bad media, a foreign writer) is taken over
+//     like an expired one rather than blocking the resource, and stays on
+//     disk under its epoch name for post-mortem.
 type ClaimDir struct {
-	dir     string
-	opts    ClaimOptions
-	io      ioPolicy
-	tombSeq atomic.Uint64
+	dir  string
+	opts ClaimOptions
+	io   ioPolicy
+
+	mu  sync.Mutex
+	top map[string]uint64 // highest epoch seen per name
 }
 
 // ClaimOptions configure clocking, skew tolerance, fault handling, and
@@ -187,18 +185,15 @@ func OpenClaimsWith(dir string, opts ClaimOptions) (*ClaimDir, error) {
 		dir:  dir,
 		opts: opts,
 		io:   ioPolicy{retry: opts.Retry, hook: opts.Hook, observe: opts.Observe},
+		top:  map[string]uint64{},
 	}, nil
 }
 
 // Dir reports the claim directory root.
 func (c *ClaimDir) Dir() string { return c.dir }
 
-func (c *ClaimDir) leasePath(name string) string {
-	return filepath.Join(c.dir, name+".lease")
-}
-
-func (c *ClaimDir) floorPath(name string) string {
-	return filepath.Join(c.dir, name+".epoch")
+func (c *ClaimDir) leasePath(name string, epoch uint64) string {
+	return filepath.Join(c.dir, fmt.Sprintf("%s.lease-%d", name, epoch))
 }
 
 func (c *ClaimDir) hbPath(name string, epoch uint64) string {
@@ -213,12 +208,24 @@ func (c *ClaimDir) note(event string) {
 	}
 }
 
-// leaseRecord is the on-disk lease body — written once per claim, never
+// saw raises the cached highest epoch of name to at least epoch.
+func (c *ClaimDir) saw(name string, epoch uint64) {
+	c.mu.Lock()
+	if epoch > c.top[name] {
+		c.top[name] = epoch
+	}
+	c.mu.Unlock()
+}
+
+// leaseRecord is the on-disk body of one epoch — written once, never
 // rewritten (renewals go to the heartbeat sidecar).
 type leaseRecord struct {
 	Owner    string `json:"owner"`
 	Deadline int64  `json:"deadline_unix_ns"`
 	Epoch    uint64 `json:"epoch"`
+	// Released marks the record its owner's Release linked: the resource
+	// is free at this epoch.
+	Released bool `json:"released,omitempty"`
 }
 
 // hbRecord is the heartbeat sidecar body: the extended deadline for one
@@ -227,13 +234,13 @@ type hbRecord struct {
 	Deadline int64 `json:"deadline_unix_ns"`
 }
 
-// errCorruptLease marks a lease file that exists but does not decode —
-// a torn write from a crashed pre-durable-protocol writer, or bad media.
+// errCorruptLease marks a lease record that exists but does not decode —
+// bad media, or a file some other writer left under a record name.
 var errCorruptLease = errors.New("checkpoint: corrupt lease record")
 
-// readLease decodes the lease at path under the I/O policy. Returns
-// errCorruptLease (wrapped) for present-but-undecodable records, the
-// raw error otherwise.
+// readLease decodes the lease record at path under the I/O policy.
+// Returns errCorruptLease (wrapped) for present-but-undecodable records,
+// the raw error otherwise.
 func (c *ClaimDir) readLease(op, path string) (leaseRecord, error) {
 	var rec leaseRecord
 	err := c.io.do(op, path, func() error {
@@ -249,46 +256,31 @@ func (c *ClaimDir) readLease(op, path string) (leaseRecord, error) {
 	return rec, err
 }
 
-// readFloor reads the epoch floor for name: 0 when absent or
-// undecodable (the floor is a monotonicity accelerator; live lease
-// records carry the authoritative epoch).
-func (c *ClaimDir) readFloor(name string) (uint64, error) {
-	path := c.floorPath(name)
-	var floor uint64
-	err := c.io.do("lease.floor-read", path, func() error {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
+// latest finds name's highest epoch, probing forward from the highest
+// one this ClaimDir has seen, and returns it with its record. Epoch 0
+// means no record exists yet. err is the top record's read error:
+// errCorruptLease for an undecodable record, otherwise an I/O failure.
+func (c *ClaimDir) latest(op, name string) (epoch uint64, rec leaseRecord, err error) {
+	c.mu.Lock()
+	start := c.top[name]
+	c.mu.Unlock()
+	epoch = start
+	for {
+		next, nerr := c.readLease(op, c.leasePath(name, epoch+1))
+		if os.IsNotExist(nerr) {
+			break
 		}
-		v, perr := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
-		if perr == nil {
-			floor = v
+		if nerr != nil && !errors.Is(nerr, errCorruptLease) {
+			return 0, leaseRecord{}, nerr
 		}
-		return nil
-	})
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
+		epoch++
+		rec, err = next, nerr
 	}
-	return floor, nil
-}
-
-// bumpFloor durably raises name's epoch floor to at least epoch,
-// skipping the write when the floor is already there or beyond.
-func (c *ClaimDir) bumpFloor(name string, epoch uint64) error {
-	cur, err := c.readFloor(name)
-	if err != nil {
-		return err
+	if epoch == start && epoch > 0 {
+		rec, err = c.readLease(op, c.leasePath(name, epoch))
 	}
-	if cur >= epoch {
-		return nil
-	}
-	path := c.floorPath(name)
-	return c.io.do("lease.floor-write", path, func() error {
-		return WriteFileDurable(path, []byte(strconv.FormatUint(epoch, 10)))
-	})
+	c.saw(name, epoch)
+	return epoch, rec, err
 }
 
 // effectiveDeadline is the record deadline extended by the claim's
@@ -312,6 +304,53 @@ func (c *ClaimDir) effectiveDeadline(name string, rec leaseRecord) int64 {
 	return deadline
 }
 
+// link atomically creates name's record at rec.Epoch; won=false means
+// that epoch already exists — another contender made the transition
+// first. The record is staged in a temp file and link(2)ed into place,
+// so a record name never exists with partial contents, and the link is
+// fsynced into the directory so a transition survives a crash.
+func (c *ClaimDir) link(op, name string, rec leaseRecord) (won bool, err error) {
+	data, _ := json.Marshal(rec)
+	path := c.leasePath(name, rec.Epoch)
+	err = c.io.do(op, path, func() error {
+		f, err := os.CreateTemp(c.dir, ".claim-*")
+		if err != nil {
+			return err
+		}
+		tmp := f.Name()
+		defer os.Remove(tmp)
+		if _, err := f.Write(data); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if err := os.Link(tmp, path); err != nil {
+			if os.IsExist(err) {
+				return nil // another contender made this transition
+			}
+			return err
+		}
+		if err := syncDir(c.dir); err != nil {
+			return err
+		}
+		won = true
+		return nil
+	})
+	if err != nil {
+		return false, fmt.Errorf("checkpoint: %s %s: %w", op, path, err)
+	}
+	if won {
+		c.saw(name, rec.Epoch)
+	}
+	return won, nil
+}
+
 // Lease is a held claim at a specific fencing epoch. It is valid until
 // its (heartbeat-extended) deadline passes; Renew extends it, Release
 // gives it up, Verify checks it has not been superseded.
@@ -333,196 +372,75 @@ func (l *Lease) Owner() string { return l.owner }
 func (l *Lease) Epoch() uint64 { return l.epoch }
 
 // ErrLeaseLost reports a Renew that found the lease no longer held by its
-// owner at its epoch — it expired and another process stole it, or its
-// record vanished. The holder must stop extending and assume a competitor
+// owner at its epoch — it expired and another process stole it, or it
+// was released. The holder must stop extending and assume a competitor
 // owns the work; its publications will be rejected by the fence.
 var ErrLeaseLost = fmt.Errorf("checkpoint: lease lost (expired and stolen)")
 
 // TryClaim attempts to acquire the lease on name for owner with the given
 // ttl. It returns (lease, true, nil) on success, (nil, false, nil) when
-// another live holder has it, and an error only on I/O failure. An
-// expired lease — deadline + MaxSkew in the past, or held by a provably
-// dead same-host pid — is stolen atomically: exactly one contender wins
-// the rename to a tombstone, and the fresh claim carries a strictly
-// greater epoch. Unreadable lease records are quarantined to
-// <lease>.corrupt-<ts>-<seq> rather than silently treated as expired.
+// another live holder has it, and an error only on I/O failure. A free
+// resource, an expired lease — deadline + MaxSkew in the past, or held by
+// a provably dead same-host pid — and an undecodable record are all taken
+// the same way: by linking the next epoch, which exactly one contender
+// wins.
 func (c *ClaimDir) TryClaim(name, owner string, ttl time.Duration) (*Lease, bool, error) {
-	path := c.leasePath(name)
 	for attempt := 0; attempt < 16; attempt++ {
-		rec, err := c.readLease("lease.read", path)
+		epoch, rec, err := c.latest("lease.read", name)
+		event := ""
 		switch {
-		case err == nil:
-			// Name held: live, dead-holder, or expired.
-			deadline := c.effectiveDeadline(name, rec)
-			event := EvSteal
-			if c.now() < deadline+int64(c.opts.MaxSkew) {
+		case errors.Is(err, errCorruptLease):
+			event = EvCorrupt
+		case err != nil:
+			return nil, false, fmt.Errorf("checkpoint: claim %s: %w", name, err)
+		case epoch == 0 || rec.Released:
+			// Free: never claimed, or released.
+		default:
+			event = EvSteal
+			if c.now() < c.effectiveDeadline(name, rec)+int64(c.opts.MaxSkew) {
 				o, pok := ParseOwner(rec.Owner)
 				if !pok || !c.opts.IsDead(o) {
 					return nil, false, nil
 				}
 				event = EvFastReclaim
 			}
-			won, serr := c.removeStale(name, path, rec)
-			if serr != nil {
-				return nil, false, serr
-			}
-			if won {
-				c.note(event)
-			}
-			continue
-		case os.IsNotExist(err):
-			// Name free: contend for a fresh claim. The floor is bumped
-			// BEFORE the link so a crash between the two only burns an
-			// epoch number, never creates a lease above the floor.
-			floor, ferr := c.readFloor(name)
-			if ferr != nil {
-				return nil, false, ferr
-			}
-			epoch := floor + 1
-			if berr := c.bumpFloor(name, epoch); berr != nil {
-				return nil, false, berr
-			}
-			ok, cerr := c.createExcl(path, owner, ttl, epoch)
-			if cerr != nil {
-				return nil, false, cerr
-			}
-			if ok {
-				c.note(EvClaim)
-				return &Lease{c: c, name: name, owner: owner, epoch: epoch}, true, nil
-			}
-			continue // lost the link race; re-read the winner's record
-		case errors.Is(err, errCorruptLease):
-			if qerr := c.quarantine(name, path); qerr != nil {
-				return nil, false, qerr
-			}
-			continue
-		default:
-			return nil, false, fmt.Errorf("checkpoint: claim %s: %w", name, err)
 		}
+		won, err := c.link("lease.create", name, leaseRecord{
+			Owner:    owner,
+			Deadline: c.opts.Clock().Add(ttl).UnixNano(),
+			Epoch:    epoch + 1,
+		})
+		if err != nil {
+			return nil, false, err
+		}
+		if !won {
+			continue // another contender took epoch+1; re-read it
+		}
+		if event != "" {
+			c.note(event)
+			// Best effort: the superseded epoch's heartbeat is inert now.
+			_ = os.Remove(c.hbPath(name, epoch))
+		}
+		c.note(EvClaim)
+		return &Lease{c: c, name: name, owner: owner, epoch: epoch + 1}, true, nil
 	}
 	// Pathological churn: behave as "held elsewhere" and let the caller's
 	// next scan retry.
 	return nil, false, nil
 }
 
-// removeStale atomically removes an expired lease record via a unique
-// tombstone rename. Exactly one contender wins; won=false means someone
-// else removed (or replaced) it first. The tombstone is read back after
-// the rename: if the record moved is not the one we judged expired — a
-// competitor stole it and a fresh live claim landed in the window — the
-// live record is restored via link(2) and the steal is retried from
-// scratch.
-func (c *ClaimDir) removeStale(name, path string, rec leaseRecord) (won bool, err error) {
-	tomb := fmt.Sprintf("%s.stale-%d-%d", path, os.Getpid(), c.tombSeq.Add(1))
-	err = c.io.do("lease.steal", path, func() error { return os.Rename(path, tomb) })
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil // lost the steal race
-		}
-		return false, fmt.Errorf("checkpoint: steal lease %s: %w", name, err)
-	}
-	moved, rerr := c.readLease("lease.steal-verify", tomb)
-	if rerr == nil && (moved.Epoch != rec.Epoch || moved.Owner != rec.Owner) {
-		// We renamed a live successor lease, not the stale record. Put it
-		// back; EEXIST means yet another claim already holds the name, in
-		// which case the displaced holder is fenced by epoch at its next
-		// Renew/Verify rather than silently losing work.
-		if lerr := os.Link(tomb, path); lerr != nil && !os.IsExist(lerr) {
-			return false, fmt.Errorf("checkpoint: restore displaced lease %s: %w", name, lerr)
-		}
-		os.Remove(tomb)
-		return false, nil
-	}
-	os.Remove(tomb)
-	os.Remove(c.hbPath(name, rec.Epoch))
-	syncDir(c.dir)
-	return true, nil
-}
-
-// quarantine renames an undecodable lease record to a .corrupt-* sidecar
-// so torn-media events stay observable post-mortem instead of silently
-// reading as expired.
-func (c *ClaimDir) quarantine(name, path string) error {
-	dst := fmt.Sprintf("%s.corrupt-%d-%d", path, c.now(), c.tombSeq.Add(1))
-	err := c.io.do("lease.quarantine", path, func() error { return os.Rename(path, dst) })
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // another contender quarantined or claimed it first
-		}
-		return fmt.Errorf("checkpoint: quarantine corrupt lease %s: %w", name, err)
-	}
-	syncDir(c.dir)
-	c.note(EvCorrupt)
-	return nil
-}
-
-// createExcl atomically creates the lease file, failing (ok=false) if it
-// already exists. The record is staged in a temp file and link(2)ed into
-// place, so the lease name never exists with incomplete contents — a
-// contender that raced an O_CREATE-then-write here could read the
-// empty in-progress file, deem it corrupt, quarantine it, and leave two
-// workers each believing they hold the cell. The link is fsynced into
-// the directory so a claim survives a crash — an unrecorded claim would
-// likewise let two workers share a cell after recovery.
-func (c *ClaimDir) createExcl(path, owner string, ttl time.Duration, epoch uint64) (ok bool, err error) {
-	data, _ := json.Marshal(leaseRecord{
-		Owner:    owner,
-		Deadline: c.opts.Clock().Add(ttl).UnixNano(),
-		Epoch:    epoch,
-	})
-	err = c.io.do("lease.create", path, func() error {
-		f, err := os.CreateTemp(c.dir, ".claim-*")
-		if err != nil {
-			return err
-		}
-		tmp := f.Name()
-		defer os.Remove(tmp)
-		if _, err := f.Write(data); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := os.Link(tmp, path); err != nil {
-			if os.IsExist(err) {
-				ok = false
-				return nil
-			}
-			return err
-		}
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return err
-		}
-		ok = true
-		return nil
-	})
-	if err != nil {
-		return false, fmt.Errorf("checkpoint: claim %s: %w", path, err)
-	}
-	return ok, nil
-}
-
 // Renew extends the lease by ttl from now. The claim record is immutable;
 // the extension is written to the epoch-scoped heartbeat sidecar, whose
-// only legitimate writer is this claim — so a renew that lost the epoch
-// race returns ErrLeaseLost without writing anything, and a stalled
+// only legitimate writer is this claim — so a renew that finds a newer
+// epoch returns ErrLeaseLost without writing anything, and a stalled
 // holder can never resurrect a stolen lease (its sidecar is inert
-// garbage keyed to a dead epoch).
+// garbage keyed to a superseded epoch).
 func (l *Lease) Renew(ttl time.Duration) error {
 	c := l.c
-	path := c.leasePath(l.name)
-	rec, err := c.readLease("lease.renew-read", path)
+	_, err := c.readLease("lease.renew-read", c.leasePath(l.name, l.epoch+1))
 	switch {
-	case err == nil:
-		if rec.Owner != l.owner || rec.Epoch != l.epoch {
-			return ErrLeaseLost
-		}
-	case os.IsNotExist(err), errors.Is(err, errCorruptLease):
+	case os.IsNotExist(err):
+	case err == nil, errors.Is(err, errCorruptLease):
 		return ErrLeaseLost
 	default:
 		return fmt.Errorf("checkpoint: renew lease %s: %w", l.name, err)
@@ -538,72 +456,43 @@ func (l *Lease) Renew(ttl time.Duration) error {
 
 // Verify reports whether this lease is still the resource's current
 // claim. nil means publications fenced on it may proceed; a *FencedError
-// (matching ErrFenced) means a newer epoch superseded it. Corrupt
-// records read as fenced (conservative: requeue beats double-publish);
-// transient I/O failure after retries is returned as-is.
+// (matching ErrFenced) means a newer epoch superseded it. The lease's
+// own Released record does not fence it — only a claim after that does.
+// A corrupt successor reads as fenced (conservative: requeue beats
+// double-publish); transient I/O failure after retries is returned
+// as-is.
 func (l *Lease) Verify() error {
 	c := l.c
-	path := c.leasePath(l.name)
-	rec, err := c.readLease("lease.verify", path)
+	next := l.epoch + 1
+	rec, err := c.readLease("lease.verify", c.leasePath(l.name, next))
+	if err == nil && rec.Released && rec.Owner == l.owner {
+		next++
+		rec, err = c.readLease("lease.verify", c.leasePath(l.name, next))
+	}
 	switch {
-	case err == nil:
-		if rec.Owner == l.owner && rec.Epoch == l.epoch {
-			return nil
-		}
-		return &FencedError{Name: l.name, Epoch: l.epoch, NewerEpoch: rec.Epoch, Holder: rec.Owner}
 	case os.IsNotExist(err):
-		// No record: fenced only if the floor proves a newer claim
-		// existed. (A thief bumps the floor before linking its record, so
-		// floor <= our epoch guarantees no steal ever started.)
-		floor, ferr := c.readFloor(l.name)
-		if ferr != nil {
-			return ferr
-		}
-		if floor > l.epoch {
-			return &FencedError{Name: l.name, Epoch: l.epoch, NewerEpoch: floor}
-		}
 		return nil
+	case err == nil:
+		return &FencedError{Name: l.name, Epoch: l.epoch, NewerEpoch: next, Holder: rec.Owner}
 	case errors.Is(err, errCorruptLease):
-		return &FencedError{Name: l.name, Epoch: l.epoch}
+		return &FencedError{Name: l.name, Epoch: l.epoch, NewerEpoch: next}
 	default:
 		return fmt.Errorf("checkpoint: verify lease %s: %w", l.name, err)
 	}
 }
 
-// Release gives the lease up. The removal is atomic with respect to
-// ownership: the record is renamed to a unique tombstone and read back,
-// so releasing a lease that was already stolen can never tear down the
-// thief's claim — a displaced successor record is restored via link(2)
-// and the release becomes a no-op.
+// Release gives the lease up by linking a Released record at the next
+// epoch. If that epoch already exists — the lease expired and was stolen
+// — the link loses, the thief's claim is untouched, and the release is a
+// no-op observed as EvReleaseLost.
 func (l *Lease) Release() {
 	c := l.c
-	path := c.leasePath(l.name)
-	rec, err := c.readLease("lease.release-read", path)
-	if err != nil || rec.Owner != l.owner || rec.Epoch != l.epoch {
+	won, err := c.link("lease.release", l.name, leaseRecord{Owner: l.owner, Epoch: l.epoch + 1, Released: true})
+	if err != nil || !won {
 		c.note(EvReleaseLost)
 		return
 	}
-	tomb := fmt.Sprintf("%s.rel-%d-%d", path, os.Getpid(), c.tombSeq.Add(1))
-	if err := c.io.do("lease.release-rename", path, func() error { return os.Rename(path, tomb) }); err != nil {
-		c.note(EvReleaseLost)
-		return // record vanished (stolen+released) or I/O failed; nothing held
-	}
-	moved, rerr := c.readLease("lease.release-verify", tomb)
-	if rerr == nil && (moved.Owner != l.owner || moved.Epoch != l.epoch) {
-		// A thief stole our expired claim and linked a fresh record in the
-		// window between our ownership read and the rename; we displaced
-		// the thief's live lease. Restore it (EEXIST: an even newer claim
-		// already took the name — the displaced thief gets fenced at its
-		// next Renew/Verify).
-		if lerr := os.Link(tomb, path); lerr == nil || os.IsExist(lerr) {
-			os.Remove(tomb)
-		}
-		c.note(EvReleaseLost)
-		return
-	}
-	os.Remove(tomb)
-	os.Remove(c.hbPath(l.name, l.epoch))
-	syncDir(c.dir)
+	_ = os.Remove(c.hbPath(l.name, l.epoch)) // best effort: inert once released
 }
 
 // Holder reports the current owner of name's lease and whether the lease
@@ -611,8 +500,8 @@ func (l *Lease) Release() {
 // grace — this is observational, not a steal decision). ok=false means
 // unclaimed.
 func (c *ClaimDir) Holder(name string) (owner string, live bool, ok bool) {
-	rec, err := c.readLease("lease.holder", c.leasePath(name))
-	if err != nil {
+	epoch, rec, err := c.latest("lease.holder", name)
+	if err != nil || epoch == 0 || rec.Released {
 		return "", false, false
 	}
 	return rec.Owner, c.now() < c.effectiveDeadline(name, rec), true

@@ -78,9 +78,9 @@ func TestOwnerRoundtrip(t *testing.T) {
 }
 
 // TestReleaseRaceDoesNotRemoveThiefLease is the regression test for the
-// read-then-remove race: a steal landing between Release's ownership
-// read and its removal must not tear down the thief's live lease. The
-// fault hook opens exactly that window deterministically.
+// release-after-steal race: a steal landing just before Release's link
+// must not tear down the thief's live lease. The fault hook opens
+// exactly that window deterministically.
 func TestReleaseRaceDoesNotRemoveThiefLease(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -94,10 +94,10 @@ func TestReleaseRaceDoesNotRemoveThiefLease(t *testing.T) {
 		Clock:   clk.Now,
 		Observe: events.note,
 		Hook: func(op, path string) error {
-			if op == "lease.release-rename" {
+			if op == "lease.release" {
 				once.Do(func() {
-					// The victim has read its own record and is about to
-					// remove it. Expire the lease and let the thief claim.
+					// The victim is about to link its release record.
+					// Expire the lease and let the thief claim.
 					clk.Advance(time.Hour)
 					if _, ok, err := thiefDir.TryClaim("cell", "thief", time.Hour); err != nil || !ok {
 						t.Errorf("thief steal inside window = %v, %v", ok, err)
@@ -121,6 +121,74 @@ func TestReleaseRaceDoesNotRemoveThiefLease(t *testing.T) {
 	}
 	if events.count(EvReleaseLost) == 0 {
 		t.Fatal("displaced Release not observed as EvReleaseLost")
+	}
+}
+
+// TestStealWindowHandsOutOneLease is the deterministic regression test
+// for a steal with two winners. Contender A judges the seeded lease
+// expired; just before each of A's next two transition steps, contender
+// B and then contender C run a whole TryClaim. B's hour-long steal must
+// be the only lease handed out: A and C are refused and B stays the
+// verified, live holder.
+func TestStealWindowHandsOutOneLease(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	open := func(hook FaultHook) *ClaimDir {
+		c, err := OpenClaimsWith(dir, ClaimOptions{Clock: clk.Now, Hook: hook})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if _, ok, err := open(nil).TryClaim("cell", "dead", time.Minute); err != nil || !ok {
+		t.Fatalf("seed claim = %v, %v", ok, err)
+	}
+	clk.Advance(time.Hour)
+
+	var b *Lease
+	var bWon, cWon, cRan bool
+	runB := func() {
+		var err error
+		if b, bWon, err = open(nil).TryClaim("cell", "B", time.Hour); err != nil {
+			t.Errorf("B claim: %v", err)
+		}
+	}
+	runC := func() {
+		cRan = true
+		var err error
+		if _, cWon, err = open(nil).TryClaim("cell", "C", time.Hour); err != nil {
+			t.Errorf("C claim: %v", err)
+		}
+	}
+	var steps int
+	a := open(func(op, path string) error {
+		if strings.HasSuffix(op, "read") {
+			return nil // only A's transition steps open the window
+		}
+		steps++
+		switch steps {
+		case 1:
+			runB()
+		case 2:
+			runC()
+		}
+		return nil
+	})
+	_, aWon, err := a.TryClaim("cell", "A", time.Hour)
+	if err != nil {
+		t.Fatalf("A claim: %v", err)
+	}
+	if !cRan {
+		runC()
+	}
+	if !bWon || aWon || cWon {
+		t.Fatalf("B won=%v A won=%v C won=%v, want only B", bWon, aWon, cWon)
+	}
+	if err := b.Verify(); err != nil {
+		t.Fatalf("B Verify = %v", err)
+	}
+	if owner, live, present := open(nil).Holder("cell"); !present || !live || owner != "B" {
+		t.Fatalf("Holder = %q live=%v present=%v, want live B", owner, live, present)
 	}
 }
 
@@ -360,9 +428,9 @@ func TestFastReclaimDeadHolder(t *testing.T) {
 	}
 }
 
-// TestCorruptLeaseQuarantined: torn lease records are renamed to
-// .corrupt-* sidecars (observable post-mortem) rather than silently
-// treated as expired, and the claim still proceeds.
+// TestCorruptLeaseQuarantined: an undecodable lease record is taken over
+// at the next epoch, counted once, and kept on disk byte-for-byte for
+// post-mortem.
 func TestCorruptLeaseQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	events := newEventLog()
@@ -371,31 +439,30 @@ func TestCorruptLeaseQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	garbage := []byte("{torn json")
-	if err := os.WriteFile(c.leasePath("cell"), garbage, 0o644); err != nil {
+	if err := os.WriteFile(c.leasePath("cell", 1), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, ok, err := c.TryClaim("cell", "w1", time.Hour)
 	if err != nil || !ok {
 		t.Fatalf("claim over corrupt lease = %v, %v", ok, err)
 	}
+	if l.Epoch() != 2 {
+		t.Fatalf("claim over corrupt epoch 1 got epoch %d, want 2", l.Epoch())
+	}
 	if events.count(EvCorrupt) != 1 {
 		t.Fatalf("EvCorrupt = %d, want 1", events.count(EvCorrupt))
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "cell.lease.corrupt-*"))
-	if len(matches) != 1 {
-		t.Fatalf("quarantine sidecars = %v, want exactly 1", matches)
-	}
-	kept, err := os.ReadFile(matches[0])
+	kept, err := os.ReadFile(c.leasePath("cell", 1))
 	if err != nil || string(kept) != string(garbage) {
-		t.Fatalf("quarantined bytes = %q, %v", kept, err)
+		t.Fatalf("corrupt record bytes = %q, %v", kept, err)
 	}
 	l.Release()
 	// An empty (zero-byte) record is torn media too.
-	if err := os.WriteFile(c.leasePath("cell"), nil, 0o644); err != nil {
+	if err := os.WriteFile(c.leasePath("cell", l.Epoch()+2), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c.TryClaim("cell", "w1", time.Hour); err != nil || !ok {
-		t.Fatalf("claim over empty lease = %v, %v", ok, err)
+	if l2, ok, err := c.TryClaim("cell", "w1", time.Hour); err != nil || !ok || l2.Epoch() != l.Epoch()+3 {
+		t.Fatalf("claim over empty lease = %v, %v, %v", l2, ok, err)
 	}
 	if events.count(EvCorrupt) != 2 {
 		t.Fatalf("EvCorrupt after empty record = %d, want 2", events.count(EvCorrupt))
@@ -491,9 +558,9 @@ func TestTransientIORetry(t *testing.T) {
 }
 
 // TestVerifyFencing pins Lease.Verify across the lease lifecycle: live
-// claim verifies, stolen claim fences, and — via the epoch floor — a
-// claim superseded by a steal+release chain still fences even with no
-// lease record on disk.
+// claim verifies, stolen claim fences, a claim superseded by a
+// steal+release chain still fences, and the releaser is not fenced by
+// its own release.
 func TestVerifyFencing(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -524,14 +591,14 @@ func TestVerifyFencing(t *testing.T) {
 	if err := thief.Verify(); err != nil {
 		t.Fatalf("thief Verify = %v", err)
 	}
-	// Thief completes and releases: no lease record remains, but the
-	// floor still fences the zombie.
+	// Thief completes and releases: the resource is free, but the thief's
+	// epoch still fences the zombie.
 	thief.Release()
 	if err := victim.Verify(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("Verify after steal+release = %v, want ErrFenced", err)
 	}
-	// The thief itself, post-release, still verifies clean (floor == its
-	// epoch): release does not fence the releaser.
+	// The thief itself, post-release, still verifies clean: release does
+	// not fence the releaser.
 	if err := thief.Verify(); err != nil {
 		t.Fatalf("thief Verify after own release = %v", err)
 	}
@@ -657,7 +724,7 @@ func TestHolderUnderChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// The directory must hold no stranded tombstones or quarantine files
-	// after churn — only the lease/heartbeat/floor working set.
+	// after churn — only lease records and heartbeats.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

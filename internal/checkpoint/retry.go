@@ -147,8 +147,8 @@ const (
 	// EvFastReclaim: a same-host lease whose holder pid is provably dead
 	// was reclaimed without waiting out the deadline.
 	EvFastReclaim = "lease.fast-reclaim"
-	// EvCorrupt: an unreadable/torn lease record was quarantined to a
-	// .corrupt-* file instead of being silently treated as expired.
+	// EvCorrupt: an undecodable lease record was taken over at the next
+	// epoch; the record itself stays on disk for post-mortem.
 	EvCorrupt = "lease.corrupt"
 	// EvReleaseLost: a Release found its claim already superseded (the
 	// stale-holder no-op path).
@@ -168,8 +168,7 @@ type FencedError struct {
 	Name string
 	// Epoch is the writer's stale claim epoch.
 	Epoch uint64
-	// NewerEpoch is the epoch that fenced it (0 when only the floor
-	// record proved supersession).
+	// NewerEpoch is the epoch that fenced it.
 	NewerEpoch uint64
 	// Holder is the superseding claim's owner, when known.
 	Holder string

@@ -182,21 +182,14 @@ func (m Metrics) RuntimeSeconds() float64 { return m.Runtime.Seconds() }
 // drives everything nondeterministic in the surrounding system —
 // scheduling interleave, bloom hashing, device jitter.
 func RunTrial(w workload.Workload, mk PolicyFactory, sys SystemConfig, workloadSeed, systemSeed uint64) (Metrics, error) {
-	return RunTrialObserved(w, mk, sys, workloadSeed, systemSeed, 0, nil)
+	return RunTrialOpts(w, mk, sys, workloadSeed, systemSeed, TrialOptions{})
 }
-
-// Observer receives periodic samples of the live system during a trial;
-// visualization tools use it to watch list/generation occupancy evolve.
-type Observer func(now sim.Time, pol policy.Policy, mgr *vmm.Manager)
 
 // TrialOptions bundles the per-trial hooks that are not part of the
 // system's identity: SystemConfig stays plain values (it is fingerprinted
 // and persisted by the experiment harness), so anything carrying pointers
 // or callbacks rides here instead.
 type TrialOptions struct {
-	// SampleEvery and Observer enable the legacy polling hook.
-	SampleEvery sim.Duration
-	Observer    Observer
 	// Telemetry, when non-nil, is threaded through the whole stack: the
 	// manager, policy, swap devices, and fault plane record spans on it, a
 	// sampler daemon snapshots its gauges every Telemetry.MetricsInterval,
@@ -205,14 +198,6 @@ type TrialOptions struct {
 	// one more proc in the event order: traced runs are deterministic
 	// against other traced runs, not byte-identical to untraced ones.
 	Telemetry *telemetry.Tracer
-}
-
-// RunTrialObserved is RunTrial with a sampling hook invoked every
-// sampleEvery of virtual time (0 or nil observer disables sampling).
-func RunTrialObserved(w workload.Workload, mk PolicyFactory, sys SystemConfig,
-	workloadSeed, systemSeed uint64, sampleEvery sim.Duration, obs Observer) (Metrics, error) {
-	return RunTrialOpts(w, mk, sys, workloadSeed, systemSeed,
-		TrialOptions{SampleEvery: sampleEvery, Observer: obs})
 }
 
 // FanoutMismatchError reports a system configured for one page-table
@@ -234,7 +219,6 @@ func (e *FanoutMismatchError) Error() string {
 // RunTrialOpts is the fully-optioned trial entry point.
 func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	workloadSeed, systemSeed uint64, opts TrialOptions) (Metrics, error) {
-	sampleEvery, obs := opts.SampleEvery, opts.Observer
 	if sys.CPUs <= 0 {
 		return Metrics{}, fmt.Errorf("core: CPUs must be positive")
 	}
@@ -364,15 +348,6 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 		st := st
 		procs[i] = eng.Spawn(fmt.Sprintf("app-%d", i), false, func(v *sim.Env) {
 			runThread(v, st, mgr, barrier, sys.FlushCPU, readLat, writeLat, tr)
-		})
-	}
-
-	if obs != nil && sampleEvery > 0 {
-		eng.Spawn("observer", true, func(v *sim.Env) {
-			for {
-				obs(v.Now(), pol, mgr)
-				v.Sleep(sampleEvery)
-			}
 		})
 	}
 

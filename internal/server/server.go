@@ -47,9 +47,6 @@ type Config struct {
 	// before stealing (shard.Config.MaxSkew). Zero: single-machine
 	// semantics.
 	MaxSkew time.Duration
-	// IORetry bounds retries of transient shared-filesystem blips on
-	// store and lease operations (NFS fleets). Zero value: no retries.
-	IORetry checkpoint.RetryPolicy
 	// ReadOnly forces degraded mode: fully-cached sweeps are served from
 	// the store, submissions needing execution get 503. It is also
 	// entered automatically when the store or queue directory is not
@@ -123,7 +120,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Counters = telemetry.NewCounterSet()
 	}
 	cfg.Limits = cfg.Limits.withDefaults()
-	cfg.Store.SetIO(cfg.IORetry, nil)
 	shardCfg := shard.Config{
 		Dir:      cfg.Dir,
 		Store:    cfg.Store,
@@ -132,7 +128,6 @@ func New(cfg Config) (*Server, error) {
 		Backoff:  cfg.ShardBackoff,
 		Poll:     cfg.ShardPoll,
 		MaxSkew:  cfg.MaxSkew,
-		IORetry:  cfg.IORetry,
 		Counters: cfg.Counters,
 		Progress: cfg.Progress,
 	}

@@ -603,12 +603,16 @@ func TestFleetStatsSurfacesCoordinationCounters(t *testing.T) {
 	store := openStore(t)
 	cfg := fastServerCfg(t, store, 2)
 	cfg.MaxSkew = 5 * time.Second
-	_, ts := startServer(t, cfg)
+	srv, ts := startServer(t, cfg)
 	code, st, aerr := postSweep(t, ts, smallSweep)
 	if aerr != nil {
 		t.Fatalf("submit: %d %v", code, aerr)
 	}
 	waitJob(t, ts, st.ID)
+	// A job reads done once its cells are in the store, a beat before the
+	// executing worker adds to its counters; draining settles those adds.
+	// /v1/stats still serves while draining.
+	srv.Drain()
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {

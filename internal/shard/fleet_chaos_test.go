@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -88,10 +89,19 @@ func assertNoCorruptArtifacts(t *testing.T, storeDir, queueDir string) {
 	for _, pat := range []string{
 		filepath.Join(storeDir, "*.conflict"),
 		filepath.Join(queueDir, "*.poison.json"),
-		filepath.Join(queueDir, "*.corrupt-*"),
 	} {
 		if m, _ := filepath.Glob(pat); len(m) != 0 {
 			t.Fatalf("corrupt artifacts after chaos: %v", m)
+		}
+	}
+	records, _ := filepath.Glob(filepath.Join(queueDir, "*.lease-*"))
+	for _, path := range records {
+		var rec struct {
+			Owner string `json:"owner"`
+		}
+		data, err := os.ReadFile(path)
+		if err != nil || json.Unmarshal(data, &rec) != nil || rec.Owner == "" {
+			t.Fatalf("lease record %s does not decode after chaos: %q, %v", path, data, err)
 		}
 	}
 }
@@ -360,9 +370,9 @@ func (a *atomic64) inc() int64 {
 }
 
 // TestTornLeaseFilesQuarantinedAndConverge: garbage lease records
-// pre-seeded for every cell (torn writes from a dead fleet) are
-// quarantined to observable .corrupt-* sidecars, counted, and the run
-// still converges byte-identically.
+// pre-seeded at epoch 1 for every cell (torn writes from a dead fleet)
+// are taken over at the next epoch, counted, kept byte-for-byte for
+// post-mortem, and the run still converges byte-identically.
 func TestTornLeaseFilesQuarantinedAndConverge(t *testing.T) {
 	opts := fastOpts()
 	store := openStore(t)
@@ -377,9 +387,10 @@ func TestTornLeaseFilesQuarantinedAndConverge(t *testing.T) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	garbage := []byte(`{"owner":"dead-fleet","dead`)
 	for _, c := range cells {
-		torn := filepath.Join(cfg.Dir, checkpoint.KeyHash(c.Key)+".lease")
-		if err := os.WriteFile(torn, []byte(`{"owner":"dead-fleet","dead`), 0o644); err != nil {
+		torn := filepath.Join(cfg.Dir, checkpoint.KeyHash(c.Key)+".lease-1")
+		if err := os.WriteFile(torn, garbage, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,9 +403,11 @@ func TestTornLeaseFilesQuarantinedAndConverge(t *testing.T) {
 	if got := cfg.Counters.Get("leases.corrupt_quarantined"); got != int64(len(cells)) {
 		t.Fatalf("leases.corrupt_quarantined = %d, want %d", got, len(cells))
 	}
-	quarantined, _ := filepath.Glob(filepath.Join(cfg.Dir, "*.lease.corrupt-*"))
-	if len(quarantined) != len(cells) {
-		t.Fatalf("quarantine sidecars = %d, want %d", len(quarantined), len(cells))
+	for _, c := range cells {
+		kept, err := os.ReadFile(filepath.Join(cfg.Dir, checkpoint.KeyHash(c.Key)+".lease-1"))
+		if err != nil || string(kept) != string(garbage) {
+			t.Fatalf("torn record for %s/%s = %q, %v; want its bytes kept", c.Workload, c.Policy, kept, err)
+		}
 	}
 	if m, _ := filepath.Glob(filepath.Join(cfg.Dir, "*.poison.json")); len(m) != 0 {
 		t.Fatalf("torn leases poisoned cells: %v", m)

@@ -5,15 +5,16 @@
 // small on-disk lease directory. No network, no daemon.
 //
 // Protocol. Every cell (one (workload, policy, system) series) is
-// identified by its checkpoint key; its hash names three sidecar files
-// in the queue directory:
+// identified by its checkpoint key; its hash names the files it owns in
+// the queue directory:
 //
-//	<hash>.lease       atomically-claimed wall-clock lease (checkpoint.ClaimDir)
-//	<hash>.cell.json   attempt record, written only under the lease
-//	<hash>.poison.json quarantine record for cells past their budget
+//	<hash>.lease-<epoch> immutable lease records, one per claim, steal or
+//	                     release (checkpoint.ClaimDir)
+//	<hash>.hb-<epoch>    heartbeat extending that epoch's claim
+//	<hash>.cell.json     attempt record, written only under the lease
+//	<hash>.poison.json   quarantine record for cells past their budget
 //
-// (plus the lease layer's own epoch-floor and heartbeat sidecars), and
-// the store entry itself is the "done" marker. A worker scans the cell
+// and the store entry itself is the "done" marker. A worker scans the cell
 // list in claim order (cost-descending LPT bin packing), claims the
 // first runnable cell, heartbeats the lease while executing, and writes
 // the result through the runner's normal checkpoint path. A worker that
@@ -31,9 +32,9 @@
 // determinism violation with both payloads preserved. For fleets of
 // machines over one shared filesystem, Config.MaxSkew grants expiring
 // leases a clock-skew grace, owner identities are host/pid/nonce (dead
-// same-host holders are reclaimed fast), and Config.IORetry absorbs
-// transient NFS blips (ESTALE/EINTR/EIO) with bounded seeded-jitter
-// backoff.
+// same-host holders are reclaimed fast), and Config.IORetry, when set,
+// absorbs transient NFS blips (ESTALE/EINTR/EIO) with bounded
+// seeded-jitter backoff (no binary sets it today).
 package shard
 
 import (
