@@ -11,11 +11,12 @@ const DefaultQuantum Duration = 250 * Microsecond
 // NewEngine, spawn procs, then call Run. An Engine must not be shared
 // between host goroutines.
 //
-// Control transfer is baton-passing: exactly one goroutine — the host
-// inside Run, or one proc — holds control at any time. A proc that parks
-// runs the dispatch loop itself and wakes the next schedulable proc
-// directly, so a context switch costs one channel send plus one receive
-// instead of a round trip through a central scheduler goroutine.
+// Each proc is a coroutine (iter.Pull) driven by Run, so exactly one of
+// Run or one proc executes at any time. A proc that parks runs the
+// dispatch loop itself: inline callbacks run on its stack, and when the
+// next wakeup is its own it keeps running without a switch. Otherwise
+// it records the woken proc in next and yields to Run, which resumes
+// that proc: a context switch is one coroutine yield and one resume.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -31,12 +32,11 @@ type Engine struct {
 	stopped bool
 	failure error
 
-	// mainCh returns the baton to Run when the simulation is over
-	// (finished, stopped, or deadlocked). Buffered so dispatch can hand
-	// the baton back before Run has reached its receive.
-	mainCh chan struct{}
-	// shuttingDown redirects proc-completion batons to mainCh while
-	// shutdown unwinds killed procs one at a time.
+	// next is the proc Run resumes when the running coroutine yields;
+	// nil once the simulation is over (finished, stopped, or deadlocked).
+	next *Proc
+	// shuttingDown stops a killed proc's completion from dispatching
+	// while shutdown unwinds killed procs one at a time.
 	shuttingDown bool
 }
 
@@ -45,7 +45,7 @@ func NewEngine(cpus int) *Engine {
 	if cpus <= 0 {
 		panic("sim: NewEngine requires at least one CPU")
 	}
-	return &Engine{cpus: cpus, quantum: DefaultQuantum, mainCh: make(chan struct{}, 1)}
+	return &Engine{cpus: cpus, quantum: DefaultQuantum}
 }
 
 // SetQuantum overrides the CPU accounting quantum (useful in tests).
@@ -168,7 +168,7 @@ func (e *Engine) pushProc(t Time, p *Proc) {
 // straight to t without yielding: the engine is not stopped and no pending
 // event is due at or before t. When it holds, a scheduler round trip would
 // pop only the caller's own wakeup, so Charge/SleepUntil skip the event
-// push and channel handoff and advance e.now in place. An event due exactly
+// push and the dispatch loop and advance e.now in place. An event due exactly
 // at t forces the slow path — it was pushed earlier, carries a smaller
 // sequence number, and must run first for event order to stay identical.
 func (e *Engine) canAdvanceTo(t Time) bool {
@@ -192,17 +192,13 @@ func (e *Engine) Spawn(name string, daemon bool, fn func(*Env)) *Proc {
 		name:   name,
 		daemon: daemon,
 		engine: e,
-		// Buffered: the waker may be the proc itself (a dispatch run from
-		// this proc's own handoff can pop this proc's next wakeup), so the
-		// send must complete before the receive is reached.
-		resume: make(chan struct{}, 1),
 		state:  stateReady,
 	}
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.live++
 	}
-	go p.top(fn)
+	p.start(fn)
 	// Procs contribute to CPU contention only while charging CPU work;
 	// a freshly spawned proc is scheduled but not yet consuming CPU.
 	e.pushProc(e.now, p)
@@ -225,9 +221,15 @@ func (e *Engine) setRunnable(p *Proc, r bool) {
 // Run executes events until every non-daemon proc has finished, then
 // terminates daemons. It returns a non-nil error if a proc panicked or if
 // the simulation deadlocked (no events pending while procs still live).
+// A panic outside any proc body — in an After callback run while a proc
+// finishes, say — propagates to Run's caller.
 func (e *Engine) Run() error {
 	e.dispatch()
-	<-e.mainCh
+	for e.next != nil {
+		p := e.next
+		e.next = nil
+		p.resume()
+	}
 	e.shutdown()
 	return e.failure
 }
@@ -236,29 +238,27 @@ func (e *Engine) Run() error {
 // Run's shutdown phase. Safe to call from engine callbacks and procs.
 func (e *Engine) Stop() { e.stopped = true }
 
-// dispatch passes the baton to the next schedulable entity. The caller
-// must have fully recorded its own state first (parked, finished, or — for
-// the host — not yet started). Inline callbacks run in the caller's
-// goroutine; when a proc's wakeup pops, dispatch sends it the baton and
-// returns so the caller can park itself. When the simulation is over the
-// baton goes back to Run via mainCh.
+// dispatch picks the next schedulable entity. The caller must have fully
+// recorded its own state first (parked, finished, or — for Run — not yet
+// started). Inline callbacks run on the caller's stack; when a proc's
+// wakeup pops, dispatch records it in e.next and returns so the caller
+// can yield (or, in Run, resume it). When the simulation is over e.next
+// stays nil.
 func (e *Engine) dispatch() { e.dispatchFrom(nil) }
 
 // dispatchFrom is dispatch with a self-wake fast path: when the next
 // wakeup belongs to self (the proc currently parking), it reports true
-// and self simply keeps the baton — no channel operations at all. This
-// is common when inline After callbacks interleave with a proc that is
+// and self simply keeps running — no coroutine switch at all. This is
+// common when inline After callbacks interleave with a proc that is
 // otherwise the earliest sleeper.
 func (e *Engine) dispatchFrom(self *Proc) bool {
 	e.running = nil
 	for {
 		if e.stopped || e.live == 0 {
-			e.mainCh <- struct{}{}
 			return false
 		}
 		if len(e.events) == 0 {
 			e.failure = e.deadlockError()
-			e.mainCh <- struct{}{}
 			return false
 		}
 		ev := e.events.pop()
@@ -278,14 +278,13 @@ func (e *Engine) dispatchFrom(self *Proc) bool {
 		if ev.proc == self {
 			return true
 		}
-		ev.proc.resume <- struct{}{}
+		e.next = ev.proc
 		return false
 	}
 }
 
-// finish records proc completion and passes the baton on. Runs in the
-// finishing proc's goroutine (this is the bookkeeping the central
-// scheduler used to do after each yield).
+// finish records proc completion and dispatches the next entity. Runs on
+// the finishing proc's coroutine, as the last step of its body.
 func (e *Engine) finish(p *Proc) {
 	e.setRunnable(p, false)
 	if !p.daemon {
@@ -297,15 +296,14 @@ func (e *Engine) finish(p *Proc) {
 	}
 	p.done.broadcastLocked(e)
 	if e.shuttingDown {
-		e.mainCh <- struct{}{}
 		return
 	}
 	e.dispatch()
 }
 
 // shutdown terminates all unfinished procs after the main phase exits.
-// Each killed proc unwinds in its own goroutine and hands the baton back
-// through mainCh before the next one is resumed.
+// Each killed proc is resumed once and unwinds on its own coroutine
+// before the next one is resumed.
 func (e *Engine) shutdown() {
 	e.shuttingDown = true
 	for _, p := range e.procs {
@@ -314,8 +312,7 @@ func (e *Engine) shutdown() {
 		}
 		p.killed = true
 		e.running = p
-		p.resume <- struct{}{}
-		<-e.mainCh
+		p.resume()
 	}
 	e.running = nil
 }

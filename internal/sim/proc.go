@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 type procState int
 
@@ -28,7 +33,7 @@ func (s procState) String() string {
 	return "unknown"
 }
 
-// killSignal is panicked inside a proc goroutine to unwind it when the
+// killSignal is panicked inside a proc's coroutine to unwind it when the
 // engine shuts down; the proc wrapper recovers it.
 type killSignalType struct{}
 
@@ -43,16 +48,17 @@ func IsKillSignal(r any) bool {
 	return ok
 }
 
-// Proc is a simulated task: a goroutine that runs only while the engine has
-// handed it control, making execution fully deterministic.
+// Proc is a simulated task: a coroutine that runs only while Run has
+// resumed it, making execution fully deterministic.
 type Proc struct {
 	name   string
 	daemon bool
 	engine *Engine
 
-	// resume delivers the baton (buffered, capacity 1: the sender may be
-	// this proc's own handoff-dispatch).
-	resume chan struct{}
+	// resume runs the coroutine until its next yield or its end; yield,
+	// called from handoff, returns control to resume's caller.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	state     procState
 	countsCPU bool   // contributes to CPU contention right now
@@ -78,9 +84,17 @@ func (p *Proc) Done() *Cond { return &p.done }
 // Finished reports whether the proc has completed.
 func (p *Proc) Finished() bool { return p.state == stateDone }
 
-// top is the goroutine body wrapping the user function.
+// start makes p a coroutine running fn. Its body first runs at the first
+// resume; iter.Pull re-raises in the resumer any panic that escapes top.
+func (p *Proc) start(fn func(*Env)) {
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.top(fn)
+	})
+}
+
+// top is the coroutine body wrapping the user function.
 func (p *Proc) top(fn func(*Env)) {
-	<-p.resume // wait for the first schedule
 	defer func() {
 		if r := recover(); r != nil {
 			switch e := r.(type) {
@@ -104,15 +118,15 @@ func (p *Proc) top(fn func(*Env)) {
 	fn(&Env{engine: p.engine, proc: p})
 }
 
-// handoff passes the baton on (running the dispatch loop in this
-// goroutine) and blocks until resumed. The caller must have recorded the
-// proc's parked state and any wakeup event before calling. On resume
-// during shutdown it unwinds via killSignal.
+// handoff runs the dispatch loop on this coroutine and, unless the proc's
+// own wakeup is next, yields to Run until resumed. The caller must have
+// recorded the proc's parked state and any wakeup event before calling.
+// On resume during shutdown it unwinds via killSignal.
 func (p *Proc) handoff() {
 	if p.engine.dispatchFrom(p) {
-		return // our own wakeup was next; baton never left this goroutine
+		return // our own wakeup was next; no switch needed
 	}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSignal)
 	}
@@ -158,7 +172,7 @@ func (v *Env) Charge(d Duration) {
 			// Nothing can run before this quantum completes (the runnable
 			// set, and with it the dilation, cannot change without an
 			// event): advance time in place instead of a scheduler round
-			// trip through the event heap and two channel operations.
+			// trip through the event heap.
 			e.now = deadline
 			continue
 		}

@@ -3,9 +3,12 @@
 // The engine models a small multiprocessor: a fixed number of hardware CPU
 // contexts shared by an arbitrary number of simulated tasks ("procs"). Time
 // is virtual, measured in nanoseconds, and never coupled to the wall clock.
-// Procs run as real goroutines, but control is handed to exactly one proc at
-// a time, so execution order — and therefore every simulated timestamp — is
-// fully determined by the event heap and the seeds supplied by the caller.
+// Each proc is a coroutine (iter.Pull) that only Run resumes, one at a
+// time: a parking proc runs the dispatch loop on its own stack, records
+// the proc whose wakeup popped in Engine.next and yields, and Run resumes
+// that proc. No scheduler goroutine or channel is involved, so execution
+// order — and therefore every simulated timestamp — is fully determined
+// by the event heap and the seeds supplied by the caller.
 //
 // CPU contention uses a fluid processor-sharing model: when R procs are
 // runnable on C contexts, charged CPU work is dilated by max(1, R/C). Work
