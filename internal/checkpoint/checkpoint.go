@@ -31,25 +31,24 @@ import (
 
 // Store persists keyed blobs under one directory.
 type Store struct {
-	dir string
-	io  atomic.Pointer[ioPolicy]
+	dir  string
+	hook atomic.Pointer[FaultHook]
 }
 
-// SetIO installs a transient-failure retry policy and an optional fault
-// hook over the store's filesystem operations — the same treatment the
-// lease layer gets, so an NFS blip during publication retries instead of
-// failing a completed cell. Safe to call while the store is shared
-// across goroutines (stores are long-lived and passed between servers
-// and executors).
-func (s *Store) SetIO(retry RetryPolicy, hook FaultHook) {
-	s.io.Store(&ioPolicy{retry: retry, hook: hook})
+// SetHook installs (or, with nil, clears) a fault hook over the store's
+// filesystem operations — the test seam the lease layer has in
+// ClaimOptions.Hook. Safe to call while the store is shared across
+// goroutines (stores are long-lived and passed between servers and
+// executors).
+func (s *Store) SetHook(hook FaultHook) {
+	s.hook.Store(&hook)
 }
 
-func (s *Store) iop() ioPolicy {
-	if p := s.io.Load(); p != nil {
-		return *p
+func (s *Store) faults() FaultHook {
+	if h := s.hook.Load(); h != nil {
+		return *h
 	}
-	return ioPolicy{}
+	return nil
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -85,7 +84,7 @@ func (s *Store) EntryPath(key string) string { return s.path(key) }
 // on purpose: resume re-executes and overwrites it).
 func (s *Store) Get(key string) (data []byte, ok bool) {
 	path := s.path(key)
-	err := s.iop().do("store.read", path, func() error {
+	err := s.faults().do("store.read", path, func() error {
 		var rerr error
 		data, rerr = os.ReadFile(path)
 		return rerr
@@ -160,7 +159,7 @@ func (s *Store) Has(key string) bool {
 // Put stores data for key atomically and durably.
 func (s *Store) Put(key string, data []byte) error {
 	path := s.path(key)
-	err := s.iop().do("store.put", path, func() error { return WriteFileDurable(path, data) })
+	err := s.faults().do("store.put", path, func() error { return WriteFileDurable(path, data) })
 	if err != nil {
 		return fmt.Errorf("checkpoint: put: %w", err)
 	}
@@ -235,7 +234,7 @@ func (s *Store) PutVerifyFenced(key string, data []byte, fence func() error) err
 			// commit below can claim it.
 			os.Remove(path)
 		}
-		switch err := s.iop().do("store.put-verify", path, func() error { return createIfAbsent(path, data) }); {
+		switch err := s.faults().do("store.put-verify", path, func() error { return createIfAbsent(path, data) }); {
 		case err == nil:
 			return nil
 		case errors.Is(err, fs.ErrExist):

@@ -58,16 +58,14 @@ import (
 type ClaimDir struct {
 	dir  string
 	opts ClaimOptions
-	io   ioPolicy
 
 	mu  sync.Mutex
 	top map[string]uint64 // highest epoch seen per name
 }
 
-// ClaimOptions configure clocking, skew tolerance, fault handling, and
+// ClaimOptions configure clocking, skew tolerance, fault injection, and
 // observability for a ClaimDir. The zero value is production defaults:
-// real clock, zero skew grace, single-attempt I/O, pid-probe fast
-// reclaim.
+// real clock, zero skew grace, no hook, no observer.
 type ClaimOptions struct {
 	// Clock supplies the time for deadlines and expiry checks. Nil means
 	// time.Now. Tests inject a fake to step through expiry and skew
@@ -77,19 +75,12 @@ type ClaimOptions struct {
 	// stolen: tolerate holders whose clocks run up to MaxSkew behind
 	// ours. Zero (the default) preserves single-machine semantics.
 	MaxSkew time.Duration
-	// Retry bounds retries of transient I/O failures (ESTALE/EINTR/EIO)
-	// on every lease operation. Zero value: no retries.
-	Retry RetryPolicy
 	// Hook, when non-nil, intercepts every lease filesystem operation for
 	// deterministic fault injection. See FaultHook.
 	Hook FaultHook
 	// Observe, when non-nil, receives coordination events (EvClaim,
 	// EvSteal, ...) for telemetry counters.
 	Observe func(event string)
-	// IsDead, when non-nil, overrides the liveness probe used for
-	// same-host fast reclaim. Nil means: same hostname, pid not ours, and
-	// kill(pid, 0) returns ESRCH.
-	IsDead func(o Owner) bool
 }
 
 // Owner identifies a lease holder precisely enough to reason about its
@@ -147,7 +138,7 @@ func ParseOwner(s string) (Owner, bool) {
 	return Owner{Host: rest[:j], PID: pid, Nonce: nonce}, true
 }
 
-// pidProbablyDead is the default fast-reclaim probe: true only when the
+// pidProbablyDead is the fast-reclaim probe: true only when the
 // owner names this host and its pid provably no longer exists. A SIGSTOPped
 // process reads as alive (correct: it may resume), a recycled pid reads
 // as alive (safe: just means waiting out the deadline), EPERM reads as
@@ -178,15 +169,7 @@ func OpenClaimsWith(dir string, opts ClaimOptions) (*ClaimDir, error) {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	if opts.IsDead == nil {
-		opts.IsDead = pidProbablyDead
-	}
-	return &ClaimDir{
-		dir:  dir,
-		opts: opts,
-		io:   ioPolicy{retry: opts.Retry, hook: opts.Hook, observe: opts.Observe},
-		top:  map[string]uint64{},
-	}, nil
+	return &ClaimDir{dir: dir, opts: opts, top: map[string]uint64{}}, nil
 }
 
 // Dir reports the claim directory root.
@@ -238,12 +221,12 @@ type hbRecord struct {
 // bad media, or a file some other writer left under a record name.
 var errCorruptLease = errors.New("checkpoint: corrupt lease record")
 
-// readLease decodes the lease record at path under the I/O policy.
+// readLease decodes the lease record at path through the fault hook.
 // Returns errCorruptLease (wrapped) for present-but-undecodable records,
 // the raw error otherwise.
 func (c *ClaimDir) readLease(op, path string) (leaseRecord, error) {
 	var rec leaseRecord
-	err := c.io.do(op, path, func() error {
+	err := c.opts.Hook.do(op, path, func() error {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -290,7 +273,7 @@ func (c *ClaimDir) latest(op, name string) (epoch uint64, rec leaseRecord, err e
 func (c *ClaimDir) effectiveDeadline(name string, rec leaseRecord) int64 {
 	deadline := rec.Deadline
 	path := c.hbPath(name, rec.Epoch)
-	_ = c.io.do("lease.hb-read", path, func() error {
+	_ = c.opts.Hook.do("lease.hb-read", path, func() error {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil // no heartbeat yet: not an error
@@ -312,7 +295,7 @@ func (c *ClaimDir) effectiveDeadline(name string, rec leaseRecord) int64 {
 func (c *ClaimDir) link(op, name string, rec leaseRecord) (won bool, err error) {
 	data, _ := json.Marshal(rec)
 	path := c.leasePath(name, rec.Epoch)
-	err = c.io.do(op, path, func() error {
+	err = c.opts.Hook.do(op, path, func() error {
 		f, err := os.CreateTemp(c.dir, ".claim-*")
 		if err != nil {
 			return err
@@ -399,7 +382,7 @@ func (c *ClaimDir) TryClaim(name, owner string, ttl time.Duration) (*Lease, bool
 			event = EvSteal
 			if c.now() < c.effectiveDeadline(name, rec)+int64(c.opts.MaxSkew) {
 				o, pok := ParseOwner(rec.Owner)
-				if !pok || !c.opts.IsDead(o) {
+				if !pok || !pidProbablyDead(o) {
 					return nil, false, nil
 				}
 				event = EvFastReclaim
@@ -447,7 +430,7 @@ func (l *Lease) Renew(ttl time.Duration) error {
 	}
 	hb, _ := json.Marshal(hbRecord{Deadline: c.opts.Clock().Add(ttl).UnixNano()})
 	hbp := c.hbPath(l.name, l.epoch)
-	err = c.io.do("lease.hb-write", hbp, func() error { return WriteFileDurable(hbp, hb) })
+	err = c.opts.Hook.do("lease.hb-write", hbp, func() error { return WriteFileDurable(hbp, hb) })
 	if err != nil {
 		return fmt.Errorf("checkpoint: renew lease %s: %w", l.name, err)
 	}
@@ -459,8 +442,7 @@ func (l *Lease) Renew(ttl time.Duration) error {
 // (matching ErrFenced) means a newer epoch superseded it. The lease's
 // own Released record does not fence it — only a claim after that does.
 // A corrupt successor reads as fenced (conservative: requeue beats
-// double-publish); transient I/O failure after retries is returned
-// as-is.
+// double-publish); an I/O failure is returned as-is.
 func (l *Lease) Verify() error {
 	c := l.c
 	next := l.epoch + 1

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"mglrusim/internal/checkpoint"
@@ -153,6 +155,48 @@ func TestSummarizeSeriesBlobMatchesDecode(t *testing.T) {
 		}
 		if _, ok := decodeSeries(c.Key, stale); ok {
 			t.Fatalf("cell %s/%s: wrong-version artifact decoded", c.Workload, c.Policy)
+		}
+	}
+}
+
+// TestFencedPublicationFailureFailsSeries: under a publication fence (a
+// shard lease) a store write error fails the series and drops it from
+// the runner's memo, so the next Run re-executes and publishes. Without
+// a fence the same error stays a best-effort progress note.
+func TestFencedPublicationFailureFailsSeries(t *testing.T) {
+	for _, fenced := range []bool{true, false} {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blip := true
+		store.SetHook(func(op, path string) error {
+			if op == "store.put-verify" && blip {
+				blip = false
+				return syscall.ESTALE
+			}
+			return nil
+		})
+		r := NewRunner(Options{Trials: 1, Scale: 0.1, Seed: 0xABC, Checkpoint: store, Parallelism: 1})
+		if fenced {
+			r.SetFence(func(string) error { return nil })
+		}
+		w, p, sys := WorkloadByName("ycsb-c", 0.1), PolicyByName(PolFIFO), SystemAt(0.5, core.SwapSSD)
+		_, err = r.Run(w, p, sys)
+		if fenced != errors.Is(err, syscall.ESTALE) {
+			t.Fatalf("fenced=%v: first Run = %v", fenced, err)
+		}
+		if _, err := r.Run(w, p, sys); err != nil {
+			t.Fatalf("fenced=%v: second Run = %v", fenced, err)
+		}
+		// The fenced retry re-executed and published; the unfenced series
+		// was memoized after its lost write and never wrote again.
+		want := 0
+		if fenced {
+			want = 1
+		}
+		if got := store.Len(); got != want {
+			t.Fatalf("fenced=%v: store holds %d entries, want %d", fenced, got, want)
 		}
 	}
 }

@@ -438,12 +438,15 @@ func (r *Runner) fenceFor(key string) func() error {
 
 // runSeriesCheckpointed wraps runSeries with the persistent series store:
 // a valid stored result short-circuits execution entirely (resume), and a
-// fresh success is persisted before being returned. Store write failures
-// degrade to a progress note — persistence is best-effort, the run's own
-// results are never at risk. Two exceptions fail the series loudly:
-// divergent duplicate bytes (a determinism violation) and a fenced
-// publication (the authorizing lease was superseded — the result must
-// not be trusted as the cell's outcome).
+// fresh success is persisted before being returned. In a batch run,
+// store write failures degrade to a progress note — persistence is
+// best-effort, the run's own results are never at risk. Two outcomes
+// always fail the series loudly: divergent duplicate bytes (a
+// determinism violation) and a fenced publication (the authorizing lease
+// was superseded — the result must not be trusted as the cell's
+// outcome). Under a fence any other write failure fails the series too:
+// there the store entry is the cell's only outcome, so a lost write is a
+// failed attempt for the shard queue to requeue, not a note.
 func (r *Runner) runSeriesCheckpointed(w WorkloadSpec, p PolicySpec, sys core.SystemConfig, sk, key string) (*Series, error) {
 	invalidEntry := false
 	if r.opts.Checkpoint != nil {
@@ -489,6 +492,9 @@ func (r *Runner) runSeriesCheckpointed(w WorkloadSpec, p PolicySpec, sys core.Sy
 		}
 		if errors.Is(encErr, checkpoint.ErrFenced) {
 			return nil, fmt.Errorf("series %s: publication fenced: %w", sk, encErr)
+		}
+		if encErr != nil && fence != nil {
+			return nil, fmt.Errorf("series %s: publication failed: %w", sk, encErr)
 		}
 		if encErr != nil && r.opts.Progress != nil {
 			fmt.Fprintf(r.opts.Progress, "series %-40s checkpoint write failed: %v\n", sk, encErr)

@@ -77,11 +77,6 @@ type Config struct {
 	// TierProtection enables PID-controlled protection of higher tiers
 	// (§III-D).
 	TierProtection bool
-	// NoFileGain disables the file-vs-anon gain controller while keeping
-	// per-tier protection — the ablation arm that isolates the cross-type
-	// balancer from the within-type tier shields. Zero value (file gain
-	// on whenever TierProtection is) matches the kernel.
-	NoFileGain bool
 	// PIDKp and PIDKi are controller gains on tier refault imbalance.
 	PIDKp, PIDKi float64
 	// BloomDensityNum/Den: a scanned region is added to the next walk's

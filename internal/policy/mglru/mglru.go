@@ -83,7 +83,7 @@ func (g *MGLRU) Attach(k policy.Kernel) {
 	g.minSeq = 0
 	g.maxSeq = uint64(g.cfg.MinGens - 1) // start with MinGens generations
 	g.tiers = pidctl.NewTierSet(g.cfg.Tiers, g.cfg.PIDKp, g.cfg.PIDKi)
-	if g.cfg.TierProtection && !g.cfg.NoFileGain {
+	if g.cfg.TierProtection {
 		g.fileGain = pidctl.NewTierGain(g.cfg.PIDKp, g.cfg.PIDKi)
 	}
 	regions := k.Table().Regions()

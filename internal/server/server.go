@@ -28,7 +28,7 @@ type Config struct {
 	// Seed is the methodology seed baked into every cell's cache key.
 	// Default 0x5EED, matching batch pagebench.
 	Seed uint64
-	// Limits bound submissions and supply request defaults.
+	// Limits bound submissions.
 	Limits Limits
 	// QueueBound caps outstanding cold cells across all live jobs; a
 	// submission that would exceed it is rejected with 429 (<=0: 256).
@@ -37,12 +37,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MonitorPoll is the job monitor's status-derivation cadence (0: 50ms).
 	MonitorPoll time.Duration
-	// ShardTTL/ShardAttempts/ShardBackoff/ShardPoll tune the lease
-	// executor (zero values: shard defaults).
-	ShardTTL      time.Duration
-	ShardAttempts int
-	ShardBackoff  time.Duration
-	ShardPoll     time.Duration
+	// ShardTTL/ShardBackoff/ShardPoll tune the lease executor (zero
+	// values: shard defaults).
+	ShardTTL     time.Duration
+	ShardBackoff time.Duration
+	ShardPoll    time.Duration
 	// MaxSkew is the clock-skew grace granted to other machines' leases
 	// before stealing (shard.Config.MaxSkew). Zero: single-machine
 	// semantics.
@@ -124,7 +123,6 @@ func New(cfg Config) (*Server, error) {
 		Dir:      cfg.Dir,
 		Store:    cfg.Store,
 		TTL:      cfg.ShardTTL,
-		Attempts: cfg.ShardAttempts,
 		Backoff:  cfg.ShardBackoff,
 		Poll:     cfg.ShardPoll,
 		MaxSkew:  cfg.MaxSkew,
@@ -486,9 +484,6 @@ type FleetStats struct {
 	// store by the fence.
 	CellsFenced   int64 `json:"cellsFenced"`
 	PublishFenced int64 `json:"publishFenced"`
-	// IORetries counts transient shared-filesystem errors absorbed by
-	// the retry policy.
-	IORetries int64 `json:"ioRetries"`
 }
 
 // Stats is the GET /v1/stats response.
@@ -528,7 +523,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LeasesCorruptQuarantined: counters["leases.corrupt_quarantined"],
 			CellsFenced:              counters["cells.fenced"],
 			PublishFenced:            counters["publish.fenced"],
-			IORetries:                counters["io.retries"],
 		},
 		Counters: counters,
 	})

@@ -37,7 +37,7 @@ func warmStore(t *testing.T) (*checkpoint.Store, []experiments.CellSpec) {
 func countReads(store *checkpoint.Store) func() map[string]int {
 	var mu sync.Mutex
 	reads := map[string]int{}
-	store.SetIO(checkpoint.RetryPolicy{}, func(op, path string) error {
+	store.SetHook(func(op, path string) error {
 		if op == "store.read" {
 			mu.Lock()
 			reads[strings.TrimSuffix(filepath.Base(path), ".json")]++
@@ -74,7 +74,7 @@ func TestViewReadsEachArtifactOnce(t *testing.T) {
 			cfg := fastServerCfg(t, store, 2)
 			cfg.ReadOnly = readOnly
 			srv, ts := startServer(t, cfg)
-			reads := countReads(store) // after New, which resets the store's I/O policy
+			reads := countReads(store) // a fresh hook: counts this server's reads only
 
 			_, st, aerr := postSweep(t, ts, smallSweep)
 			if aerr != nil {

@@ -77,48 +77,28 @@ func badRequest(code, format string, args ...any) *apiError {
 	return &apiError{Status: 400, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
+// Per-request bounds and defaults every server applies.
+const (
+	// maxTrials caps per-cell trials.
+	maxTrials = 25
+	// maxScale caps the workload scale factor.
+	maxScale = 2.0
+	// defaultTrials and defaultScale fill zero request fields.
+	defaultTrials = 3
+	defaultScale  = 0.2
+)
+
 // Limits bound what one submission may ask for.
 type Limits struct {
-	// MaxCells caps the sweep size (axis product after dedup).
+	// MaxCells caps the sweep size (axis product after dedup; <=0: 64).
 	MaxCells int
-	// MaxTrials caps per-cell trials.
-	MaxTrials int
-	// MaxScale caps the workload scale factor.
-	MaxScale float64
-	// DefaultTrials and DefaultScale fill zero request fields.
-	DefaultTrials int
-	DefaultScale  float64
-	// RegionPTEs is the fanout the server lays workloads out with
-	// (0 = workload.DefaultRegionPTEs).
-	RegionPTEs int
 }
 
 func (l Limits) withDefaults() Limits {
 	if l.MaxCells <= 0 {
 		l.MaxCells = 64
 	}
-	if l.MaxTrials <= 0 {
-		l.MaxTrials = 25
-	}
-	if l.MaxScale <= 0 {
-		l.MaxScale = 2
-	}
-	if l.DefaultTrials <= 0 {
-		l.DefaultTrials = 3
-	}
-	if l.DefaultScale <= 0 {
-		l.DefaultScale = 0.2
-	}
 	return l
-}
-
-// effectiveFanout is the region fanout workloads are actually laid out
-// with under these limits.
-func (l Limits) effectiveFanout() int {
-	if l.RegionPTEs > 0 {
-		return l.RegionPTEs
-	}
-	return workload.DefaultRegionPTEs
 }
 
 // Canonical is a validated, canonicalized sweep: axes sorted and
@@ -198,22 +178,22 @@ func canonicalize(req SweepRequest, lim Limits) (Canonical, *apiError) {
 
 	c.Trials = req.Trials
 	if c.Trials == 0 {
-		c.Trials = lim.DefaultTrials
+		c.Trials = defaultTrials
 	}
-	if c.Trials < 1 || c.Trials > lim.MaxTrials {
-		return c, badRequest("bad-trials", "trials %d out of range [1, %d]", c.Trials, lim.MaxTrials)
+	if c.Trials < 1 || c.Trials > maxTrials {
+		return c, badRequest("bad-trials", "trials %d out of range [1, %d]", c.Trials, maxTrials)
 	}
 
 	c.Scale = req.Scale
 	if c.Scale == 0 {
-		c.Scale = lim.DefaultScale
+		c.Scale = defaultScale
 	}
-	if c.Scale < 0 || c.Scale > lim.MaxScale {
-		return c, badRequest("bad-scale", "scale %g out of range (0, %g]", c.Scale, lim.MaxScale)
+	if c.Scale < 0 || c.Scale > maxScale {
+		return c, badRequest("bad-scale", "scale %g out of range (0, %g]", c.Scale, maxScale)
 	}
 
 	c.CPUs = base.CPUs
-	c.RegionPTEs = lim.effectiveFanout()
+	c.RegionPTEs = workload.DefaultRegionPTEs
 	if req.System != nil {
 		if req.System.CPUs != 0 {
 			if req.System.CPUs < 1 || req.System.CPUs > 256 {

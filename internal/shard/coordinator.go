@@ -19,6 +19,9 @@ type Handle interface {
 	Wait() error
 }
 
+// maxRestarts bounds respawns per worker slot.
+const maxRestarts = 8
+
 // Coordinator runs a cell set to completion across N supervised worker
 // processes. It executes no cells itself: workers self-schedule through
 // the on-disk queue, and the coordinator's jobs are spawning, restarting
@@ -31,8 +34,6 @@ type Coordinator struct {
 	// Spawn launches the worker for a slot (normally CmdSpawner re-invoking
 	// pagebench -worker).
 	Spawn func(slot int) (Handle, error)
-	// MaxRestarts bounds respawns per slot. Default 8.
-	MaxRestarts int
 
 	mu       sync.Mutex
 	handles  map[int]Handle
@@ -78,10 +79,6 @@ func (co *Coordinator) Run() (Report, error) {
 	workers := co.Workers
 	if workers <= 0 {
 		workers = 1
-	}
-	maxRestarts := co.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 8
 	}
 	co.mu.Lock()
 	co.handles = make(map[int]Handle, workers)

@@ -294,29 +294,30 @@ func TestSkewGraceProtectsRemoteHolder(t *testing.T) {
 	}
 }
 
-// TestTransientIOBlipsConvergeByteIdentical: seeded ESTALE/EIO injection
-// across lease and store operations is absorbed by the bounded retry
-// policy — the matrix converges with zero poisoned cells and blobs
-// byte-identical to an uninjected serial run.
+// TestTransientIOBlipsConvergeByteIdentical: an NFS-style blip (ESTALE)
+// on each cell's first publication fails that attempt. The queue
+// requeues it with backoff, the next attempt re-executes and publishes,
+// and the matrix converges with zero poisoned cells, one completion per
+// cell, and blobs byte-identical to an uninjected serial run. One worker,
+// so every retry lands on the runner that saw the failed write.
 func TestTransientIOBlipsConvergeByteIdentical(t *testing.T) {
 	opts := fastOpts()
 	store := openStore(t)
-	var calls atomic64
-	hook := func(op, path string) error {
-		n := calls.inc()
-		switch {
-		case n%5 == 3:
-			return syscall.ESTALE
-		case n%11 == 7:
-			return syscall.EIO
+	var mu sync.Mutex
+	blipped := map[string]bool{}
+	store.SetHook(func(op, path string) error {
+		if op != "store.put-verify" {
+			return nil
 		}
-		return nil
-	}
-	retry := checkpoint.RetryPolicy{Attempts: 4, Backoff: time.Microsecond, Seed: 0xF1EE7}
-	store.SetIO(retry, hook)
+		mu.Lock()
+		defer mu.Unlock()
+		if blipped[path] {
+			return nil
+		}
+		blipped[path] = true
+		return syscall.ESTALE
+	})
 	cfg := fastCfg(t, store)
-	cfg.IORetry = retry
-	cfg.FaultHook = hook
 
 	ws := []experiments.WorkloadSpec{experiments.WorkloadByName("ycsb-c", opts.Scale)}
 	ps := experiments.Policies(experiments.PolClock, experiments.PolFIFO)
@@ -325,16 +326,26 @@ func TestTransientIOBlipsConvergeByteIdentical(t *testing.T) {
 	sweepOpts.Checkpoint = store
 	sweepOpts.Veto = Veto(cfg.Dir)
 	r := experiments.NewRunner(sweepOpts)
-	runBatch(t, cfg, 2, BatchSpec{Cells: r.MatrixCells(ws, ps, sys), NewRunner: newRunnerFn(opts, store)})
+	cells := r.MatrixCells(ws, ps, sys)
+	runBatch(t, cfg, 1, BatchSpec{Cells: cells, NewRunner: newRunnerFn(opts, store)})
+	for _, p := range Poisoned(cfg.Dir, cells) {
+		t.Errorf("publication blip poisoned %s after %d attempt(s), lastErr=%q", p.SeedKey, p.Attempts, p.Err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := cfg.Counters.Get("cells.completed"); got != int64(len(cells)) {
+		t.Fatalf("cells.completed = %d, want %d", got, len(cells))
+	}
+	if got := cfg.Counters.Get("cells.requeued"); got < 1 {
+		t.Fatalf("cells.requeued = %d, want >= 1 (a failed publication must requeue)", got)
+	}
 	res, err := r.RunMatrix(ws, ps, sys)
 	if err != nil {
-		t.Fatalf("RunMatrix under I/O blips: %v", err)
+		t.Fatalf("RunMatrix after publication blips: %v", err)
 	}
 	if !res.Complete() {
-		t.Fatalf("matrix incomplete under transient blips: %+v", res.Failed)
-	}
-	if got := cfg.Counters.Get("io.retries"); got < 1 {
-		t.Fatalf("io.retries = %d, want >= 1 (injection did not exercise retry)", got)
+		t.Fatalf("matrix incomplete after publication blips: %+v", res.Failed)
 	}
 
 	// Byte-identity: a pristine store populated with no fault injection
@@ -345,7 +356,6 @@ func TestTransientIOBlipsConvergeByteIdentical(t *testing.T) {
 	if _, err := experiments.NewRunner(cleanOpts).RunMatrix(ws, ps, sys); err != nil {
 		t.Fatal(err)
 	}
-	cells := r.MatrixCells(ws, ps, sys)
 	for _, c := range cells {
 		got, ok1 := store.Get(c.Key)
 		want, ok2 := cleanStore.Get(c.Key)
@@ -354,19 +364,6 @@ func TestTransientIOBlipsConvergeByteIdentical(t *testing.T) {
 				c.Workload, c.Policy, ok1, ok2)
 		}
 	}
-}
-
-// atomic64 is a tiny atomic counter for concurrency-safe fault hooks.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (a *atomic64) inc() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.n++
-	return a.n
 }
 
 // TestTornLeaseFilesQuarantinedAndConverge: garbage lease records

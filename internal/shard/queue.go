@@ -35,8 +35,6 @@ func NewQueue(cfg Config, cells []experiments.CellSpec) (*Queue, error) {
 	claims, err := checkpoint.OpenClaimsWith(cfg.Dir, checkpoint.ClaimOptions{
 		Clock:   cfg.Now,
 		MaxSkew: cfg.MaxSkew,
-		Retry:   cfg.IORetry,
-		Hook:    cfg.FaultHook,
 		Observe: leaseObserver(cfg.Counters),
 	})
 	if err != nil {
@@ -65,8 +63,6 @@ func leaseObserver(counters *telemetry.CounterSet) func(event string) {
 			counters.Add("leases.corrupt_quarantined", 1)
 		case checkpoint.EvReleaseLost:
 			counters.Add("leases.release_lost", 1)
-		case checkpoint.EvIORetry:
-			counters.Add("io.retries", 1)
 		}
 	}
 }

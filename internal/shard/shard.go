@@ -31,10 +31,11 @@
 // completions are verified identical and a mismatch surfaces as a
 // determinism violation with both payloads preserved. For fleets of
 // machines over one shared filesystem, Config.MaxSkew grants expiring
-// leases a clock-skew grace, owner identities are host/pid/nonce (dead
-// same-host holders are reclaimed fast), and Config.IORetry, when set,
-// absorbs transient NFS blips (ESTALE/EINTR/EIO) with bounded
-// seeded-jitter backoff (no binary sets it today).
+// leases a clock-skew grace and owner identities are host/pid/nonce
+// (dead same-host holders are reclaimed fast). The attempt budget is the
+// only retry: a transient NFS blip (ESTALE, EIO) on a lease operation
+// ends the worker's scan, and one on publication fails the attempt,
+// which is requeued with backoff like any other failure.
 package shard
 
 import (
@@ -82,14 +83,8 @@ type Config struct {
 	// steal decisions, and backoff gates — tests step through expiry
 	// deterministically. Nil means time.Now.
 	Now func() time.Time
-	// IORetry bounds retries of transient shared-filesystem blips
-	// (ESTALE/EINTR/EIO) on lease operations. Zero value: no retries.
-	IORetry checkpoint.RetryPolicy
-	// FaultHook, when non-nil, intercepts lease filesystem operations for
-	// deterministic fault injection (see checkpoint.FaultHook).
-	FaultHook checkpoint.FaultHook
 	// Counters, when non-nil, receives executor counters (leases.held,
-	// leases.expired, leases.stolen, cells.fenced, io.retries, ...).
+	// leases.expired, leases.stolen, cells.fenced, ...).
 	// Process-local.
 	Counters *telemetry.CounterSet
 	// Progress, when non-nil, receives one line per queue state change.
