@@ -56,16 +56,11 @@ func TableFor(w workload.Workload) func() *pagetable.Table {
 
 // FileVPNs returns a classifier reporting whether a VPN lies in one of
 // w's file-backed segments, for replaying mixed file+anon traces. It
-// returns nil — every page anonymous — when w exposes no segment layout
-// or maps no file segment, so callers can pass the result straight to
-// ReplayMixed either way.
+// returns nil — every page anonymous — when w maps no file segment, so
+// callers can pass the result straight to ReplayMixed either way.
 func FileVPNs(w workload.Workload) func(pagetable.VPN) bool {
-	seg, ok := w.(workload.Segmented)
-	if !ok {
-		return nil
-	}
 	var files []workload.Segment
-	for _, s := range seg.Segments() {
+	for _, s := range w.Segments() {
 		if s.File {
 			files = append(files, s)
 		}

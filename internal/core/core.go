@@ -132,8 +132,7 @@ type Metrics struct {
 	ReadLat, WriteLat *stats.LatencyRecorder
 	// FootprintPages and CapacityPages record the memory geometry.
 	FootprintPages, CapacityPages int
-	// SegmentFaults attributes major faults to address-space segments
-	// (populated when the workload implements workload.Segmented).
+	// SegmentFaults attributes major faults to address-space segments.
 	SegmentFaults map[string]uint64
 	// FaultLat holds per-major-fault service times (trap to PTE install,
 	// including device time and injected retries) — the fault-latency CDF
@@ -273,8 +272,8 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	pol := mk()
 	mgr := vmm.New(sys.VMM, eng, memory, table, dev, pol, sysRNG.Stream(2))
 
-	// Page-cache mode: file-backed mappings (derived from the laid-out
-	// table) get their own backing device and a writeback flusher. The
+	// Page-cache mode: file-backed mappings (the workload's file
+	// segments) get their own backing device and a writeback flusher. The
 	// cache exists only when enabled AND the workload maps file pages, so
 	// anon-only runs keep their exact historical event order. A
 	// file-targeted fault plan wraps the backing device on its own RNG
@@ -283,7 +282,7 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	var fc *pagecache.Cache
 	var ffdev *fault.Device
 	if sys.PageCache.Enabled {
-		if spans := fileSpans(table); len(spans) > 0 {
+		if spans := fileSpans(w); len(spans) > 0 {
 			var filedev swap.Device = swap.NewSSD(sys.PageCache.Backing, eng, sysRNG.Stream(6))
 			// The wrapper installs whenever the plan targets the file
 			// device, even with all-zero injection configs: an inert
@@ -413,37 +412,30 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	for _, p := range procs {
 		m.AppCPU += p.CPUTime()
 	}
-	if seg, ok := w.(workload.Segmented); ok {
-		m.SegmentFaults = map[string]uint64{}
-		for _, s := range seg.Segments() {
-			var total uint64
-			for i := 0; i < s.Pages; i++ {
-				total += mgr.MajorFaultsAt(s.Page(i))
-			}
-			m.SegmentFaults[s.Name] = total
+	m.SegmentFaults = map[string]uint64{}
+	for _, s := range w.Segments() {
+		var total uint64
+		for i := 0; i < s.Pages; i++ {
+			total += mgr.MajorFaultsAt(s.Page(i))
 		}
+		m.SegmentFaults[s.Name] = total
 	}
 	return m, nil
 }
 
-// fileSpans derives the page cache's file mappings from the laid-out
-// table: maximal contiguous runs of file-backed VPNs, one span per run.
-func fileSpans(table *pagetable.Table) []pagecache.FileSpan {
+// fileSpans lists the page cache's file mappings: w's file-backed
+// segments, in address order. AddrSpace leaves a hole before every
+// segment, so each is exactly one maximal run of file-backed VPNs.
+func fileSpans(w workload.Workload) []pagecache.FileSpan {
 	var spans []pagecache.FileSpan
-	pages := table.Pages()
-	for vpn := 0; vpn < pages; vpn++ {
-		if !table.FileBacked(pagetable.VPN(vpn)) {
-			continue
+	for _, s := range w.Segments() {
+		if s.File {
+			spans = append(spans, pagecache.FileSpan{
+				Name:  fmt.Sprintf("file-%d", len(spans)),
+				Base:  s.Base,
+				Pages: s.Pages,
+			})
 		}
-		start := vpn
-		for vpn < pages && table.FileBacked(pagetable.VPN(vpn)) {
-			vpn++
-		}
-		spans = append(spans, pagecache.FileSpan{
-			Name:  fmt.Sprintf("file-%d", len(spans)),
-			Base:  pagetable.VPN(start),
-			Pages: vpn - start,
-		})
 	}
 	return spans
 }

@@ -16,7 +16,7 @@ import (
 // seeds derive from. System is the post-fold configuration (runner-wide
 // audit/fault/watchdog options already applied), so re-running the cell
 // through any Runner with compatible options reproduces the same Key.
-// Cost is the bin-packing estimate from the BENCH-calibrated cost model.
+// Cost is the bin-packing estimate from estimateCost's coarse cost model.
 type CellSpec struct {
 	Workload string
 	Policy   string

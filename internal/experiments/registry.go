@@ -123,17 +123,8 @@ func Workloads(scale float64) []WorkloadSpec { return WorkloadsAt(scale, 0) }
 // (0 = workload.DefaultRegionPTEs). Full-scale runs pass the kernel's
 // 512-PTE PMD fanout here.
 func WorkloadsAt(scale float64, regionPTEs int) []WorkloadSpec {
-	if scale <= 0 {
-		scale = 1
-	}
-	sc := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	return []WorkloadSpec{
+	sc := scaler(scale)
+	ws := []WorkloadSpec{
 		{Name: "tpch", Make: func() workload.Workload {
 			cfg := tpch.DefaultConfig()
 			cfg.LineitemPages = sc(cfg.LineitemPages)
@@ -154,34 +145,28 @@ func WorkloadsAt(scale float64, regionPTEs int) []WorkloadSpec {
 			}
 			return pagerank.New(cfg)
 		}},
-		{Name: "ycsb-a", Latency: true, Make: func() workload.Workload {
-			cfg := ycsb.DefaultConfig(ycsb.MixA)
-			cfg.Items = sc(cfg.Items)
-			cfg.Requests = sc(cfg.Requests)
-			if regionPTEs > 0 {
-				cfg.RegionPTEs = regionPTEs
-			}
-			return ycsb.New(cfg)
-		}},
-		{Name: "ycsb-b", Latency: true, Make: func() workload.Workload {
-			cfg := ycsb.DefaultConfig(ycsb.MixB)
-			cfg.Items = sc(cfg.Items)
-			cfg.Requests = sc(cfg.Requests)
-			if regionPTEs > 0 {
-				cfg.RegionPTEs = regionPTEs
-			}
-			return ycsb.New(cfg)
-		}},
-		{Name: "ycsb-c", Latency: true, Make: func() workload.Workload {
-			cfg := ycsb.DefaultConfig(ycsb.MixC)
-			cfg.Items = sc(cfg.Items)
-			cfg.Requests = sc(cfg.Requests)
-			if regionPTEs > 0 {
-				cfg.RegionPTEs = regionPTEs
-			}
-			return ycsb.New(cfg)
-		}},
 	}
+	for _, mix := range []ycsb.Mix{ycsb.MixA, ycsb.MixB, ycsb.MixC} {
+		ws = append(ws, WorkloadSpec{Name: mix.String(), Latency: true, Make: func() workload.Workload {
+			cfg := ycsb.DefaultConfig(mix)
+			cfg.Items = sc(cfg.Items)
+			cfg.Requests = sc(cfg.Requests)
+			if regionPTEs > 0 {
+				cfg.RegionPTEs = regionPTEs
+			}
+			return ycsb.New(cfg)
+		}})
+	}
+	return ws
+}
+
+// scaler returns the function that scales a workload size by scale
+// (non-positive means 1), never below one.
+func scaler(scale float64) func(int) int {
+	if scale <= 0 {
+		scale = 1
+	}
+	return func(n int) int { return max(int(float64(n)*scale), 1) }
 }
 
 // ExtensionWorkloadsAt returns workloads added by extension figure
@@ -189,16 +174,7 @@ func WorkloadsAt(scale float64, regionPTEs int) []WorkloadSpec {
 // any other workload but never enter WorkloadsAt, so the paper-figure
 // matrix is unchanged.
 func ExtensionWorkloadsAt(scale float64, regionPTEs int) []WorkloadSpec {
-	if scale <= 0 {
-		scale = 1
-	}
-	sc := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
+	sc := scaler(scale)
 	return []WorkloadSpec{
 		{Name: "serve", Latency: true, Make: func() workload.Workload {
 			cfg := serve.DefaultConfig()

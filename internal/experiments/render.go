@@ -15,10 +15,6 @@ func newTable(cols ...string) *table { return &table{header: cols} }
 
 func (t *table) row(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) rowf(format string, args ...any) {
-	t.row(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // String renders the table with aligned columns.
 func (t *table) String() string {
 	widths := make([]int, len(t.header))

@@ -109,18 +109,6 @@ func (s *Series) MergedFaultTail() []float64 {
 	return agg.Tail()
 }
 
-// MeanFaultNS returns the mean major-fault service time across all
-// trials, in nanoseconds.
-func (s *Series) MeanFaultNS() float64 {
-	agg := stats.NewLatencyRecorder(0)
-	for _, m := range s.Trials {
-		if m.FaultLat != nil {
-			agg.Merge(m.FaultLat)
-		}
-	}
-	return agg.Mean()
-}
-
 // InjectionTotals sums the fault plane's injection counters across all
 // trials.
 func (s *Series) InjectionTotals() fault.Stats {

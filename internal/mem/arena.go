@@ -60,9 +60,6 @@ func (a *Arena[T]) Len() int { return a.n }
 // LiveChunks reports how many chunks have been materialized.
 func (a *Arena[T]) LiveChunks() int { return a.live }
 
-// ChunkSize reports the chunk granularity in elements.
-func (a *Arena[T]) ChunkSize() int { return a.mask + 1 }
-
 func (a *Arena[T]) materialize(c int) []T {
 	ch := make([]T, a.mask+1)
 	if a.hasDef {

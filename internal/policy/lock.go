@@ -69,6 +69,3 @@ func (l *LRULock) DebugOwner() *sim.Proc { return l.owner }
 type LockDebugger interface {
 	DebugLock() *LRULock
 }
-
-// DebugWaiters reports how many procs are queued (development aid).
-func (l *LRULock) DebugWaiters() int { return l.cond.Waiters() }

@@ -1,8 +1,6 @@
 package mglru
 
 import (
-	"fmt"
-
 	"mglrusim/internal/mem"
 	"mglrusim/internal/pagetable"
 	"mglrusim/internal/sim"
@@ -134,14 +132,4 @@ func (g *MGLRU) scanRegion(v *sim.Env, r int, target uint64) {
 		accessed*g.cfg.BloomDensityDen >= present*g.cfg.BloomDensityNum {
 		g.next.Add(uint64(r))
 	}
-}
-
-// DebugState reports aging/lock internals (development aid).
-func (g *MGLRU) DebugState() string {
-	owner := "nil"
-	if o := g.lock.DebugOwner(); o != nil {
-		owner = o.Name()
-	}
-	return fmt.Sprintf("aging=%v lockOwner=%s waiters=%d agingDoneWaiters=%d min=%d max=%d",
-		g.aging, owner, g.lock.DebugWaiters(), g.agingDone.Waiters(), g.minSeq, g.maxSeq)
 }

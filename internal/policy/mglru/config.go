@@ -80,8 +80,9 @@ type Config struct {
 	// PIDKp and PIDKi are controller gains on tier refault imbalance.
 	PIDKp, PIDKi float64
 	// BloomDensityNum/Den: a scanned region is added to the next walk's
-	// filter when accessed*Den >= present*Num — the default 1/8 encodes
-	// "at least one accessed PTE per 8-PTE cache line" from §III-B.
+	// filter when accessed*Den >= present*Num. The default is 1/16, a
+	// looser bar than the kernel's "at least one accessed PTE per 8-PTE
+	// cache line" (§III-B); a zero Den selects it.
 	BloomDensityNum, BloomDensityDen int
 	// ScanBatch bounds eviction-pass work per requested page.
 	ScanBatch int
@@ -171,7 +172,8 @@ func (c *Config) normalize() {
 		c.ScanBatch = 32
 	}
 	if c.BloomDensityDen <= 0 {
-		c.BloomDensityNum, c.BloomDensityDen = 1, 8
+		d := Default()
+		c.BloomDensityNum, c.BloomDensityDen = d.BloomDensityNum, d.BloomDensityDen
 	}
 	if c.Mode == ModeRand && (c.RandProb <= 0 || c.RandProb > 1) {
 		c.RandProb = 0.5

@@ -57,11 +57,6 @@ func (gr *genRegions) remove(seq uint64, r int) {
 	}
 }
 
-// has reports whether any page of region r sits on generation seq's list.
-func (gr *genRegions) has(seq uint64, r int) bool {
-	return gr.bits[gr.slot(seq)][r/64]&(1<<(uint(r)%64)) != 0
-}
-
 // each iterates generation seq's regions in ascending order.
 func (gr *genRegions) each(seq uint64, fn func(r int) bool) {
 	b := gr.bits[gr.slot(seq)]
@@ -75,15 +70,6 @@ func (gr *genRegions) each(seq uint64, fn func(r int) bool) {
 			}
 		}
 	}
-}
-
-// regionCount reports how many distinct regions generation seq occupies.
-func (gr *genRegions) regionCount(seq uint64) int {
-	n := 0
-	for _, w := range gr.bits[gr.slot(seq)] {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // --- MGLRU hooks -----------------------------------------------------
@@ -101,21 +87,6 @@ func (g *MGLRU) trackRemove(seq uint64, fr *mem.Frame) {
 	if g.genRegs != nil {
 		g.genRegs.remove(seq, g.k.Table().RegionOf(pagetable.VPN(fr.VPN)))
 	}
-}
-
-// GenRegionCount reports how many distinct page-table regions hold pages
-// of generation seq; zero when tracking is off.
-func (g *MGLRU) GenRegionCount(seq uint64) int {
-	if g.genRegs == nil {
-		return 0
-	}
-	return g.genRegs.regionCount(seq)
-}
-
-// GenHasRegion reports whether generation seq holds any page of region r;
-// false when tracking is off.
-func (g *MGLRU) GenHasRegion(seq uint64, r int) bool {
-	return g.genRegs != nil && g.genRegs.has(seq, r)
 }
 
 // CheckInvariants recomputes the region occupancy of every live

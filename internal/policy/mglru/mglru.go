@@ -421,10 +421,6 @@ scan:
 	return evicted
 }
 
-// FileGain exposes the file-vs-anon gain state, nil unless
-// TierProtection is on (tests and visualization tools).
-func (g *MGLRU) FileGain() *pidctl.TierGain { return g.fileGain }
-
 // LockStats exposes lruvec-lock contention counters.
 func (g *MGLRU) LockStats() (acquisitions, contended uint64, waitTime sim.Duration) {
 	return g.lock.Acquisitions, g.lock.Contended, g.lock.WaitTime

@@ -34,6 +34,17 @@ func TestVariantNames(t *testing.T) {
 	}
 }
 
+func TestZeroBloomDensityNormalizesToDefault(t *testing.T) {
+	cfg := Default()
+	cfg.BloomDensityNum, cfg.BloomDensityDen = 0, 0
+	g := New(cfg)
+	d := Default()
+	if g.cfg.BloomDensityNum != d.BloomDensityNum || g.cfg.BloomDensityDen != d.BloomDensityDen {
+		t.Fatalf("zero density normalized to %d/%d, Default() has %d/%d",
+			g.cfg.BloomDensityNum, g.cfg.BloomDensityDen, d.BloomDensityNum, d.BloomDensityDen)
+	}
+}
+
 func TestAnonPageInGoesToYoungest(t *testing.T) {
 	g, k := attach(Default(), 32, 1, 1)
 	policytest.Run(func(v *sim.Env) {

@@ -77,9 +77,6 @@ func (f *FIFO) Stats() policy.Stats { return f.stats }
 // DebugLock implements policy.LockDebugger.
 func (f *FIFO) DebugLock() *policy.LRULock { return &f.lock }
 
-// QueueLen reports the resident queue length (tests, viz).
-func (f *FIFO) QueueLen() int { return f.queue.Len() }
-
 // Random evicts uniformly random resident pages. It is the
 // zero-information baseline: any policy paying for access tracking
 // should beat it wherever recency carries signal.

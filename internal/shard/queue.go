@@ -97,9 +97,6 @@ func (q *Queue) Snapshot() Progress {
 // Poisoned lists this queue's quarantine records.
 func (q *Queue) Poisoned() []PoisonRecord { return Poisoned(q.cfg.Dir, q.cells) }
 
-// VetoFunc adapts the queue's poison records to experiments.Options.Veto.
-func (q *Queue) VetoFunc() func(key string) error { return Veto(q.cfg.Dir) }
-
 func (q *Queue) readState(i int) cellState {
 	st := cellState{Key: q.cells[i].Key, SeedKey: q.cells[i].SeedKey}
 	data, err := os.ReadFile(cellStatePath(q.cfg.Dir, q.hashes[i]))

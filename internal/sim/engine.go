@@ -67,9 +67,14 @@ func (e *Engine) Current() *Proc { return e.running }
 // CPUs reports the number of hardware contexts.
 func (e *Engine) CPUs() int { return e.cpus }
 
-// Runnable reports how many procs currently compete for CPU. Exposed for
-// tests and for components that want to observe contention.
-func (e *Engine) Runnable() int { return e.runnable }
+// DebugProcs reports each proc's name and state (development aid).
+func (e *Engine) DebugProcs() []string {
+	var out []string
+	for _, p := range e.procs {
+		out = append(out, fmt.Sprintf("%s=%v cpu=%v", p.name, p.state, p.cpuTime))
+	}
+	return out
+}
 
 // dilation returns the processor-sharing slowdown for one unit of CPU work
 // given the current runnable set: max(1, runnable/cpus), as a rational

@@ -153,15 +153,6 @@ func (a *Analyzer) Misses(capacity int) int {
 	return a.t - hits
 }
 
-// MissRatioCurve evaluates MissRatio at each capacity.
-func (a *Analyzer) MissRatioCurve(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = a.MissRatio(c)
-	}
-	return out
-}
-
 // DistancePercentile returns the stack distance below which the given
 // fraction of reuses fall (reuses only; cold misses excluded).
 func (a *Analyzer) DistancePercentile(p float64) int {
@@ -213,15 +204,6 @@ func (a *Analyzer) WorkingSet(w int) float64 {
 		}
 	}
 	return float64(sum) / float64(a.t)
-}
-
-// WorkingSetCurve evaluates WorkingSet at each window size.
-func (a *Analyzer) WorkingSetCurve(windows []int) []float64 {
-	out := make([]float64, len(windows))
-	for i, w := range windows {
-		out[i] = a.WorkingSet(w)
-	}
-	return out
 }
 
 // HotPages returns the n most frequently accessed pages with their

@@ -36,15 +36,11 @@ func (s Segment) Page(i int) pagetable.VPN {
 	return s.Base + pagetable.VPN(i)
 }
 
-// PageOfByte returns the page containing byte offset off, given elemSize
-// bytes per element — convenience for array-like segments.
-func (s Segment) PageOfByte(off int64) pagetable.VPN {
-	return s.Page(int(off / pagetable.PageSize))
-}
-
 // AddrSpace builds a segmented address-space layout with region-aligned
 // segments separated by hole regions — the "mapped but unallocated
 // regions" that make naive linear page-table scans wasteful (§III-B).
+// Workloads embed it, so its methods are their workload.Workload layout
+// methods.
 type AddrSpace struct {
 	regionPTEs int
 	segs       []Segment
@@ -60,7 +56,7 @@ func NewAddrSpace(regionPTEs int) *AddrSpace {
 }
 
 // Add appends a segment of pages pages, aligned to a region boundary and
-// preceded by one hole region.
+// preceded by at least one hole region, so no two segments abut.
 func (a *AddrSpace) Add(name string, pages int, file bool, class zram.ContentClass) Segment {
 	if pages <= 0 {
 		panic("workload: segment needs pages")
@@ -77,8 +73,8 @@ func (a *AddrSpace) Add(name string, pages int, file bool, class zram.ContentCla
 // RegionPTEs reports the region fanout.
 func (a *AddrSpace) RegionPTEs() int { return a.regionPTEs }
 
-// Regions reports how many regions the whole span needs.
-func (a *AddrSpace) Regions() int {
+// TableRegions reports how many regions the whole span needs.
+func (a *AddrSpace) TableRegions() int {
 	r := pagetable.VPN(a.regionPTEs)
 	return int((a.next + r - 1) / r)
 }
@@ -92,16 +88,16 @@ func (a *AddrSpace) FootprintPages() int {
 	return n
 }
 
-// Map installs all segments into t.
-func (a *AddrSpace) Map(t *pagetable.Table) {
+// Layout installs all segments into t.
+func (a *AddrSpace) Layout(t *pagetable.Table) {
 	for _, s := range a.segs {
 		t.MapRange(s.Base, s.Pages, s.File)
 	}
 }
 
-// ClassOf reports the content class for vpn (defaulting to structured for
-// holes, which are never swapped anyway).
-func (a *AddrSpace) ClassOf(vpn int64) zram.ContentClass {
+// ContentClass reports the content class for vpn (defaulting to
+// structured for holes, which are never swapped anyway).
+func (a *AddrSpace) ContentClass(vpn int64) zram.ContentClass {
 	for _, s := range a.segs {
 		if s.Contains(pagetable.VPN(vpn)) {
 			return s.Class
@@ -110,5 +106,5 @@ func (a *AddrSpace) ClassOf(vpn int64) zram.ContentClass {
 	return zram.ClassStructured
 }
 
-// Segments exposes the layout for tests.
+// Segments lists the mapped segments in address order.
 func (a *AddrSpace) Segments() []Segment { return a.segs }

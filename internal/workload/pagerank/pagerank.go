@@ -58,9 +58,10 @@ func DefaultConfig() Config {
 
 // PageRank is the workload.
 type PageRank struct {
+	*workload.AddrSpace
+
 	cfg Config
 	g   *graph.CSR
-	as  *workload.AddrSpace
 
 	prev, next, rowptr, col workload.Segment
 }
@@ -71,34 +72,19 @@ func New(cfg Config) *PageRank {
 		panic("pagerank: invalid config")
 	}
 	g := graph.Generate(cfg.Graph, sim.NewRNG(cfg.GraphSeed))
-	w := &PageRank{cfg: cfg, g: g, as: workload.NewAddrSpace(cfg.RegionPTEs)}
+	w := &PageRank{cfg: cfg, g: g, AddrSpace: workload.NewAddrSpace(cfg.RegionPTEs)}
 	scorePages := (g.N + cfg.ScoresPerPage - 1) / cfg.ScoresPerPage
 	rowPages := (g.N + 1 + cfg.RowPtrPerPage - 1) / cfg.RowPtrPerPage
 	colPages := (g.Edges() + cfg.EdgesPerPage - 1) / cfg.EdgesPerPage
-	w.prev = w.as.Add("rank-prev", scorePages, false, zram.ClassZeroHeavy)
-	w.next = w.as.Add("rank-next", scorePages, false, zram.ClassZeroHeavy)
-	w.rowptr = w.as.Add("rowptr", rowPages, false, zram.ClassStructured)
-	w.col = w.as.Add("col", colPages, false, zram.ClassStructured)
+	w.prev = w.Add("rank-prev", scorePages, false, zram.ClassZeroHeavy)
+	w.next = w.Add("rank-next", scorePages, false, zram.ClassZeroHeavy)
+	w.rowptr = w.Add("rowptr", rowPages, false, zram.ClassStructured)
+	w.col = w.Add("col", colPages, false, zram.ClassStructured)
 	return w
 }
 
 // Name implements workload.Workload.
 func (w *PageRank) Name() string { return "pagerank" }
-
-// TableRegions implements workload.Workload.
-func (w *PageRank) TableRegions() int { return w.as.Regions() }
-
-// RegionPTEs reports the region fanout for the system builder.
-func (w *PageRank) RegionPTEs() int { return w.as.RegionPTEs() }
-
-// Layout implements workload.Workload.
-func (w *PageRank) Layout(t *pagetable.Table) { w.as.Map(t) }
-
-// FootprintPages implements workload.Workload.
-func (w *PageRank) FootprintPages() int { return w.as.FootprintPages() }
-
-// ContentClass implements workload.Workload.
-func (w *PageRank) ContentClass(vpn int64) zram.ContentClass { return w.as.ClassOf(vpn) }
 
 // Graph exposes the generated graph (for tests and tools).
 func (w *PageRank) Graph() *graph.CSR { return w.g }
@@ -244,6 +230,3 @@ func (s *stream) Next(op *workload.Op) bool {
 }
 
 var _ workload.Workload = (*PageRank)(nil)
-
-// Segments implements workload.Segmented.
-func (w *PageRank) Segments() []workload.Segment { return w.as.Segments() }

@@ -28,7 +28,6 @@ package serve
 import (
 	"math"
 
-	"mglrusim/internal/pagetable"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/workload"
 	"mglrusim/internal/zram"
@@ -110,8 +109,9 @@ const scratchPerThread = 48
 
 // Serve is the workload.
 type Serve struct {
+	*workload.AddrSpace
+
 	cfg      Config
-	as       *workload.AddrSpace
 	objects  workload.Segment
 	index    workload.Segment
 	sessions workload.Segment
@@ -135,39 +135,21 @@ func New(cfg Config) *Serve {
 	if cfg.SessionTheta <= 0 {
 		cfg.SessionTheta = 0.8
 	}
-	w := &Serve{cfg: cfg, as: workload.NewAddrSpace(cfg.RegionPTEs)}
+	w := &Serve{cfg: cfg, AddrSpace: workload.NewAddrSpace(cfg.RegionPTEs)}
 	idxPages := (cfg.Objects + idxEntriesPerPage - 1) / idxEntriesPerPage
 	// The object store is the file-backed segment: served media,
 	// incompressible. Index and scratch are the anon competitors.
-	w.objects = w.as.Add("objects", cfg.Objects*cfg.ObjPages, true, zram.ClassRandom)
-	w.index = w.as.Add("index", idxPages, false, zram.ClassStructured)
+	w.objects = w.Add("objects", cfg.Objects*cfg.ObjPages, true, zram.ClassRandom)
+	w.index = w.Add("index", idxPages, false, zram.ClassStructured)
 	if cfg.Sessions > 0 {
-		w.sessions = w.as.Add("sessions", cfg.Sessions, false, zram.ClassStructured)
+		w.sessions = w.Add("sessions", cfg.Sessions, false, zram.ClassStructured)
 	}
-	w.scratch = w.as.Add("scratch", cfg.Threads*scratchPerThread, false, zram.ClassZeroHeavy)
+	w.scratch = w.Add("scratch", cfg.Threads*scratchPerThread, false, zram.ClassZeroHeavy)
 	return w
 }
 
 // Name implements workload.Workload.
 func (w *Serve) Name() string { return "serve" }
-
-// TableRegions implements workload.Workload.
-func (w *Serve) TableRegions() int { return w.as.Regions() }
-
-// RegionPTEs reports the region fanout for the system builder.
-func (w *Serve) RegionPTEs() int { return w.as.RegionPTEs() }
-
-// Layout implements workload.Workload.
-func (w *Serve) Layout(t *pagetable.Table) { w.as.Map(t) }
-
-// FootprintPages implements workload.Workload.
-func (w *Serve) FootprintPages() int { return w.as.FootprintPages() }
-
-// ContentClass implements workload.Workload.
-func (w *Serve) ContentClass(vpn int64) zram.ContentClass { return w.as.ClassOf(vpn) }
-
-// Segments implements workload.Segmented.
-func (w *Serve) Segments() []workload.Segment { return w.as.Segments() }
 
 // burst is one flash-crowd window with its trending set.
 type burst struct {
@@ -345,4 +327,3 @@ func (s *stream) Next(op *workload.Op) bool {
 }
 
 var _ workload.Workload = (*Serve)(nil)
-var _ workload.Segmented = (*Serve)(nil)

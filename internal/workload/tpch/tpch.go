@@ -62,8 +62,9 @@ func DefaultConfig() Config {
 
 // TPCH is the workload.
 type TPCH struct {
+	*workload.AddrSpace
+
 	cfg Config
-	as  *workload.AddrSpace
 
 	input, lineitem, orders, customer, hash workload.Segment
 }
@@ -73,32 +74,17 @@ func New(cfg Config) *TPCH {
 	if cfg.Threads <= 0 || cfg.Queries <= 0 {
 		panic("tpch: invalid config")
 	}
-	w := &TPCH{cfg: cfg, as: workload.NewAddrSpace(cfg.RegionPTEs)}
-	w.input = w.as.Add("input", cfg.InputPages, true, zram.ClassStructured)
-	w.lineitem = w.as.Add("lineitem", cfg.LineitemPages, false, zram.ClassStructured)
-	w.orders = w.as.Add("orders", cfg.OrdersPages, false, zram.ClassStructured)
-	w.customer = w.as.Add("customer", cfg.CustomerPages, false, zram.ClassStructured)
-	w.hash = w.as.Add("hash", cfg.HashPages, false, zram.ClassZeroHeavy)
+	w := &TPCH{cfg: cfg, AddrSpace: workload.NewAddrSpace(cfg.RegionPTEs)}
+	w.input = w.Add("input", cfg.InputPages, true, zram.ClassStructured)
+	w.lineitem = w.Add("lineitem", cfg.LineitemPages, false, zram.ClassStructured)
+	w.orders = w.Add("orders", cfg.OrdersPages, false, zram.ClassStructured)
+	w.customer = w.Add("customer", cfg.CustomerPages, false, zram.ClassStructured)
+	w.hash = w.Add("hash", cfg.HashPages, false, zram.ClassZeroHeavy)
 	return w
 }
 
 // Name implements workload.Workload.
 func (w *TPCH) Name() string { return "tpch" }
-
-// TableRegions implements workload.Workload.
-func (w *TPCH) TableRegions() int { return w.as.Regions() }
-
-// RegionPTEs reports the region fanout for the system builder.
-func (w *TPCH) RegionPTEs() int { return w.as.RegionPTEs() }
-
-// Layout implements workload.Workload.
-func (w *TPCH) Layout(t *pagetable.Table) { w.as.Map(t) }
-
-// FootprintPages implements workload.Workload.
-func (w *TPCH) FootprintPages() int { return w.as.FootprintPages() }
-
-// ContentClass implements workload.Workload.
-func (w *TPCH) ContentClass(vpn int64) zram.ContentClass { return w.as.ClassOf(vpn) }
 
 // pageRange is a [from, to) slice of a segment.
 type pageRange struct{ from, to int }
@@ -300,6 +286,3 @@ func (s *stream) Next(op *workload.Op) bool {
 }
 
 var _ workload.Workload = (*TPCH)(nil)
-
-// Segments implements workload.Segmented.
-func (w *TPCH) Segments() []workload.Segment { return w.as.Segments() }

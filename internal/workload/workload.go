@@ -58,7 +58,8 @@ type Stream interface {
 	Next(op *Op) bool
 }
 
-// Workload describes one benchmark.
+// Workload describes one benchmark. An embedded *AddrSpace supplies every
+// method but Name and Threads.
 type Workload interface {
 	// Name identifies the workload ("tpch", "pagerank", "ycsb-a", ...).
 	Name() string
@@ -86,11 +87,9 @@ type Workload interface {
 	// ContentClass reports the compressibility class of a page, for the
 	// ZRAM device.
 	ContentClass(vpn int64) zram.ContentClass
-}
-
-// Segmented is an optional Workload extension exposing the address-space
-// layout, letting analysis tools attribute faults to segments.
-type Segmented interface {
+	// Segments lists the mapped segments in address order. The page
+	// cache maps the file-backed ones; analysis tools attribute faults
+	// to them.
 	Segments() []Segment
 }
 

@@ -122,7 +122,7 @@ func TestAddrSpaceAlignmentAndHoles(t *testing.T) {
 	if as.FootprintPages() != 150 {
 		t.Fatalf("footprint = %d", as.FootprintPages())
 	}
-	if as.Regions()*64 < int(b.End()) {
+	if as.TableRegions()*64 < int(b.End()) {
 		t.Fatal("regions do not cover the span")
 	}
 }
@@ -131,10 +131,10 @@ func TestAddrSpaceClassOf(t *testing.T) {
 	as := NewAddrSpace(64)
 	a := as.Add("a", 10, false, zram.ClassZeroHeavy)
 	b := as.Add("b", 10, false, zram.ClassRandom)
-	if as.ClassOf(int64(a.Base)) != zram.ClassZeroHeavy {
+	if as.ContentClass(int64(a.Base)) != zram.ClassZeroHeavy {
 		t.Fatal("class of a wrong")
 	}
-	if as.ClassOf(int64(b.Base)) != zram.ClassRandom {
+	if as.ContentClass(int64(b.Base)) != zram.ClassRandom {
 		t.Fatal("class of b wrong")
 	}
 }

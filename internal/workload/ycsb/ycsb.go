@@ -91,8 +91,9 @@ func DefaultConfig(mix Mix) Config {
 
 // YCSB is the workload.
 type YCSB struct {
+	*workload.AddrSpace
+
 	cfg   Config
-	as    *workload.AddrSpace
 	store *kvstore.Store
 }
 
@@ -101,12 +102,12 @@ func New(cfg Config) *YCSB {
 	if cfg.Items <= 0 || cfg.Requests <= 0 || cfg.Threads <= 0 {
 		panic("ycsb: invalid config")
 	}
-	w := &YCSB{cfg: cfg, as: workload.NewAddrSpace(cfg.RegionPTEs)}
+	w := &YCSB{cfg: cfg, AddrSpace: workload.NewAddrSpace(cfg.RegionPTEs)}
 	sc := kvstore.DefaultConfig(cfg.Items)
 	probe := kvstore.New(sc, 0)
 	// One contiguous segment for index + slabs, as a real memcached heap
 	// is laid out; ContentClass distinguishes the incompressible values.
-	seg := w.as.Add("kvstore", probe.Pages(), false, zram.ClassStructured)
+	seg := w.Add("kvstore", probe.Pages(), false, zram.ClassStructured)
 	w.store = kvstore.New(sc, seg.Base)
 	return w
 }
@@ -114,26 +115,15 @@ func New(cfg Config) *YCSB {
 // Name implements workload.Workload.
 func (w *YCSB) Name() string { return w.cfg.Mix.String() }
 
-// TableRegions implements workload.Workload.
-func (w *YCSB) TableRegions() int { return w.as.Regions() }
-
-// RegionPTEs reports the region fanout for the system builder.
-func (w *YCSB) RegionPTEs() int { return w.as.RegionPTEs() }
-
-// Layout implements workload.Workload.
-func (w *YCSB) Layout(t *pagetable.Table) { w.as.Map(t) }
-
-// FootprintPages implements workload.Workload.
-func (w *YCSB) FootprintPages() int { return w.as.FootprintPages() }
-
-// ContentClass implements workload.Workload: the hash index is pointer
-// data (structured), item slabs hold serialized values (incompressible).
+// ContentClass overrides the embedded AddrSpace's: the hash index is
+// pointer data (structured), item slabs hold serialized values
+// (incompressible).
 func (w *YCSB) ContentClass(vpn int64) zram.ContentClass {
 	if pagetable.VPN(vpn) >= w.store.End()-pagetable.VPN(w.store.SlabPages()) &&
 		pagetable.VPN(vpn) < w.store.End() {
 		return zram.ClassRandom
 	}
-	return w.as.ClassOf(vpn)
+	return w.AddrSpace.ContentClass(vpn)
 }
 
 // Store exposes the kv layout for tests.
@@ -229,6 +219,3 @@ func (s *stream) Next(op *workload.Op) bool {
 }
 
 var _ workload.Workload = (*YCSB)(nil)
-
-// Segments implements workload.Segmented.
-func (w *YCSB) Segments() []workload.Segment { return w.as.Segments() }
