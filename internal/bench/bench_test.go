@@ -1,7 +1,7 @@
 // Package bench holds micro benchmarks over the simulator's hot paths:
 // the fault/evict cycle, MG-LRU aging walks, Clock's scan, rmap chases,
-// the page cache, telemetry spans, a full-scale-geometry fault path and
-// the engine's switch from one proc to another.
+// the page cache, telemetry spans, a full-scale-geometry fault path, the
+// engine's switch from one proc to another and a ZRAM swap-out.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
@@ -25,6 +25,7 @@ import (
 	"mglrusim/internal/sim"
 	"mglrusim/internal/swap"
 	"mglrusim/internal/telemetry"
+	"mglrusim/internal/zram"
 )
 
 const (
@@ -95,6 +96,11 @@ func BenchmarkProcSwitch(b *testing.B) {
 	benchProcSwitch(b.N, b.ResetTimer)
 }
 
+func BenchmarkZRAMWrite(b *testing.B) {
+	b.ReportAllocs()
+	benchZRAMWrite(b.N, b.ResetTimer)
+}
+
 // TestSuiteRunsTiny runs every benchmark body at a small op count, so a
 // plain `go test` exercises each hot path the benchmarks time.
 func TestSuiteRunsTiny(t *testing.T) {
@@ -119,6 +125,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		// Enough faults to cycle the 4096-frame memory through reclaim.
 		{"fullscale-fault-path", benchFullScaleFaultPath, 20000},
 		{"proc-switch", benchProcSwitch, 16},
+		{"zram-write", benchZRAMWrite, 16},
 	}
 	for _, s := range suite {
 		t.Run(s.name, func(t *testing.T) { s.fn(s.ops, func() {}) })
@@ -488,4 +495,30 @@ func benchProcSwitch(n int, reset func()) {
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}
+}
+
+// benchZRAMWrite measures one ZRAM swap-out and the release of its slot
+// in steady state: each op writes one of a repeating set of 1,024 page
+// contents (all three content classes), each already written once before
+// timing starts, the reuse across trials the figure matrix shows.
+func benchZRAMWrite(n int, reset func()) {
+	const contents = 1024
+	d := swap.NewZRAM(swap.DefaultZRAMConfig(), sim.NewRNG(11),
+		func(vpn int64) zram.ContentClass { return zram.ContentClass(vpn % 3) })
+	policytestutil.Run(func(v *sim.Env) {
+		write := func(i int) {
+			slot := swap.Slot(i % 64)
+			if err := d.WritePage(v, slot, int64(i%contents), 1); err != nil {
+				panic(err)
+			}
+			d.FreeSlot(slot)
+		}
+		for i := 0; i < contents; i++ {
+			write(i)
+		}
+		reset()
+		for i := 0; i < n; i++ {
+			write(i)
+		}
+	})
 }
