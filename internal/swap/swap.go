@@ -346,7 +346,8 @@ func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error 
 }
 
 // WritePage implements Device: compression burns CPU on the caller and the
-// compressed size is measured with the real compressor.
+// compressed size is measured with the real compressor, run once per
+// distinct page content per process (zram.Store memoizes sizes).
 func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	lat := d.jittered(d.cfg.WriteLatency)
 	d.stats.Writes++
