@@ -1,7 +1,8 @@
 // Package bench holds micro benchmarks over the simulator's hot paths:
 // the fault/evict cycle, MG-LRU aging walks, Clock's scan, rmap chases,
 // the page cache, telemetry spans, a full-scale-geometry fault path, the
-// engine's switch from one proc to another and a ZRAM swap-out.
+// engine's switch from one proc to another, a ZRAM swap-out and the
+// decode of a checkpointed series.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
@@ -11,8 +12,13 @@
 package bench
 
 import (
+	"os"
+	"sync"
 	"testing"
 
+	"mglrusim/internal/checkpoint"
+	"mglrusim/internal/core"
+	"mglrusim/internal/experiments"
 	"mglrusim/internal/mem"
 	"mglrusim/internal/pagecache"
 	"mglrusim/internal/pagetable"
@@ -101,6 +107,12 @@ func BenchmarkZRAMWrite(b *testing.B) {
 	benchZRAMWrite(b.N, b.ResetTimer)
 }
 
+func BenchmarkSeriesDecode(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(storedSeries())))
+	benchSeriesDecode(b.N, b.ResetTimer)
+}
+
 // TestSuiteRunsTiny runs every benchmark body at a small op count, so a
 // plain `go test` exercises each hot path the benchmarks time.
 func TestSuiteRunsTiny(t *testing.T) {
@@ -126,6 +138,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		{"fullscale-fault-path", benchFullScaleFaultPath, 20000},
 		{"proc-switch", benchProcSwitch, 16},
 		{"zram-write", benchZRAMWrite, 16},
+		{"series-decode", benchSeriesDecode, 2},
 	}
 	for _, s := range suite {
 		t.Run(s.name, func(t *testing.T) { s.fn(s.ops, func() {}) })
@@ -521,4 +534,49 @@ func benchZRAMWrite(n int, reset func()) {
 			write(i)
 		}
 	})
+}
+
+// storedSeries is one artifact of the paper matrix as the checkpoint
+// store holds it: fig3's ycsb-a/clock cell at 2 trials and scale 0.2,
+// under pagebench's default seed. Raw latency samples are most of its
+// bytes, as they are of every tail-figure artifact. It is built once per
+// process, by running the cell into a temporary store.
+var storedSeries = sync.OnceValue(func() []byte {
+	dir, err := os.MkdirTemp("", "series-decode")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		panic(err)
+	}
+	const scale = 0.2
+	r := experiments.NewRunner(experiments.Options{Trials: 2, Scale: scale, Seed: 0x5EED, Parallelism: 2, Checkpoint: store})
+	w := experiments.WorkloadByName("ycsb-a", scale)
+	if _, err := r.Run(w, experiments.PolicyByName(experiments.PolClock), experiments.SystemAt(0.5, core.SwapSSD)); err != nil {
+		panic(err)
+	}
+	hashes := store.Hashes()
+	if len(hashes) != 1 {
+		panic("the cell left no single artifact in the store")
+	}
+	blob, ok := store.GetHash(hashes[0])
+	if !ok {
+		panic("stored artifact unreadable")
+	}
+	return blob
+})
+
+// benchSeriesDecode measures what a cached cell costs the sweep server
+// and a resumed figure run: one stored artifact parsed through
+// SummarizeSeriesBlob, sample arrays included.
+func benchSeriesDecode(n int, reset func()) {
+	blob := storedSeries()
+	reset()
+	for i := 0; i < n; i++ {
+		if _, _, ok := experiments.SummarizeSeriesBlob(blob); !ok {
+			panic("stored artifact rejected")
+		}
+	}
 }

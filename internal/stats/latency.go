@@ -25,6 +25,13 @@ func NewLatencyRecorder(n int) *LatencyRecorder {
 	return &LatencyRecorder{samples: make([]int64, 0, n)}
 }
 
+// NewLatencyRecorderFrom returns a recorder whose observations are
+// samples, in order. It takes ownership of samples: the caller must not
+// use the slice afterwards. Samples() still returns a copy.
+func NewLatencyRecorderFrom(samples []int64) *LatencyRecorder {
+	return &LatencyRecorder{samples: samples}
+}
+
 // Record adds one latency observation.
 func (l *LatencyRecorder) Record(ns int64) {
 	l.samples = append(l.samples, ns)
