@@ -155,16 +155,18 @@ func (j *job) view(store *checkpoint.Store, sums *summaries, draining bool) JobS
 // change: store entries are written once (PutVerify refuses divergent
 // bytes, and zero-length entries read as missing), and the only entries
 // the runner ever replaces are ones that fail to decode as the cell's own
-// series. Failed reads and decodes are therefore never memoized, and a
-// summary is memoized only when the artifact carries the cell's key.
+// series. Failed reads and decodes are therefore never memoized, nor is
+// an artifact that carries another cell's key.
 type summaries struct {
 	mu sync.Mutex
 	m  map[string]experiments.SeriesSummary
 }
 
-// get returns the summary of the artifact stored for key. The decode runs
-// outside the lock: two views decoding the same artifact at once is
-// harmless, as both arrive at the same summary.
+// get returns the summary of the artifact stored for key. An artifact
+// that does not decode, or that carries another cell's key, has none:
+// like the runner, the view treats it as absent. The decode runs outside
+// the lock: two views decoding the same artifact at once is harmless, as
+// both arrive at the same summary.
 func (s *summaries) get(store *checkpoint.Store, key string) (experiments.SeriesSummary, bool) {
 	s.mu.Lock()
 	sum, ok := s.m[key]
@@ -177,12 +179,13 @@ func (s *summaries) get(store *checkpoint.Store, key string) (experiments.Series
 		return experiments.SeriesSummary{}, false
 	}
 	sum, stored, ok := experiments.SummarizeSeriesBlob(blob)
-	if ok && stored == key {
-		s.mu.Lock()
-		s.m[key] = sum
-		s.mu.Unlock()
+	if !ok || stored != key {
+		return experiments.SeriesSummary{}, false
 	}
-	return sum, ok
+	s.mu.Lock()
+	s.m[key] = sum
+	s.mu.Unlock()
+	return sum, true
 }
 
 // subscribe registers an SSE listener. The returned channel receives

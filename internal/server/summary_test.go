@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mglrusim/internal/checkpoint"
+	"mglrusim/internal/core"
 	"mglrusim/internal/experiments"
 )
 
@@ -142,9 +143,9 @@ func sseSnapshot(t *testing.T, ts *httptest.Server, id string) {
 }
 
 // TestSummaryNotMemoizedOnFailure: an artifact that fails to decode shows
-// no summary and is tried again on the next view; an artifact filed
-// under another cell's key is summarized as before but not memoized. Once
-// the cell's own artifact is in place, the view shows its summary.
+// no summary and is tried again on the next view; so does an artifact
+// filed under the cell's key that carries another cell's key. Once the
+// cell's own artifact is in place, the view shows its summary.
 func TestSummaryNotMemoizedOnFailure(t *testing.T) {
 	store, cells := warmStore(t)
 	target, other := cells[0], cells[0]
@@ -192,8 +193,10 @@ func TestSummaryNotMemoizedOnFailure(t *testing.T) {
 	if err := store.Put(target.Key, otherBlob); err != nil {
 		t.Fatal(err)
 	}
-	if sum := summaryOf(getJob(t, ts, st.ID)); sum == nil || sum.Policy != other.Policy {
-		t.Fatalf("artifact filed under the wrong key summarized as %+v, want policy %s", sum, other.Policy)
+	for i := 0; i < 2; i++ {
+		if sum := summaryOf(getJob(t, ts, st.ID)); sum != nil {
+			t.Fatalf("view %d: another cell's artifact summarized as %+v", i, sum)
+		}
 	}
 
 	if err := store.Put(target.Key, good); err != nil {
@@ -204,6 +207,41 @@ func TestSummaryNotMemoizedOnFailure(t *testing.T) {
 		if sum == nil || sum.Policy != target.Policy || sum.Trials != 1 {
 			t.Fatalf("view %d after the artifact was repaired: summary %+v, want policy %s", i, sum, target.Policy)
 		}
+	}
+}
+
+// TestSummaryOfForeignArtifactIsAbsent: a store entry whose blob carries
+// another cell's key yields no summary, and nothing is memoized for it,
+// however often it is asked for.
+func TestSummaryOfForeignArtifactIsAbsent(t *testing.T) {
+	store := openStore(t)
+	r := experiments.NewRunner(experiments.Options{Trials: 1, Scale: 0.02, Seed: testSeed, Checkpoint: store})
+	ws := []experiments.WorkloadSpec{experiments.WorkloadByName("ycsb-c", 0.02)}
+	ps := []experiments.PolicySpec{experiments.PolicyByName(experiments.PolFIFO), experiments.PolicyByName(experiments.PolClock)}
+	sys := experiments.SystemAt(0.5, core.SwapSSD)
+	cells := r.MatrixCells(ws, ps, sys)
+	if _, err := r.RunMatrix(ws, ps, sys); err != nil {
+		t.Fatal(err)
+	}
+	target, other := cells[0], cells[1]
+	foreign, ok := store.Get(other.Key)
+	if !ok {
+		t.Fatal("warm store misses a cell")
+	}
+	if err := store.Put(target.Key, foreign); err != nil {
+		t.Fatal(err)
+	}
+	sums := summaries{m: map[string]experiments.SeriesSummary{}}
+	for i := 0; i < 2; i++ {
+		if sum, ok := sums.get(store, target.Key); ok {
+			t.Fatalf("call %d: another cell's artifact summarized as %+v", i, sum)
+		}
+	}
+	if len(sums.m) != 0 {
+		t.Fatalf("memo holds %d summaries after foreign artifacts only", len(sums.m))
+	}
+	if sum, ok := sums.get(store, other.Key); !ok || sum.Policy != other.Policy {
+		t.Fatalf("the cell's own artifact: summary %+v, ok=%v; want policy %s", sum, ok, other.Policy)
 	}
 }
 
