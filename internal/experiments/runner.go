@@ -56,7 +56,7 @@ func (s *Series) MeanRequestNS() []float64 {
 		if n == 0 {
 			continue
 		}
-		sum := m.ReadLat.Mean()*float64(m.ReadLat.Count()) + m.WriteLat.Mean()*float64(m.WriteLat.Count())
+		sum := float64(m.ReadLat.Mean()*float64(m.ReadLat.Count())) + float64(m.WriteLat.Mean()*float64(m.WriteLat.Count()))
 		out[i] = sum / float64(n)
 	}
 	return out
@@ -74,39 +74,29 @@ func (s *Series) Performance(latency bool) []float64 {
 // MergedReadTail aggregates all trials' read latencies at the paper's
 // tail points.
 func (s *Series) MergedReadTail() []float64 {
-	agg := stats.NewLatencyRecorder(0)
-	for _, m := range s.Trials {
-		agg.Merge(m.ReadLat)
-	}
-	return agg.Tail()
+	return s.mergedTail(func(m *core.Metrics) *stats.LatencyRecorder { return m.ReadLat })
 }
 
 // MergedWriteTail aggregates all trials' write latencies.
 func (s *Series) MergedWriteTail() []float64 {
-	agg := stats.NewLatencyRecorder(0)
-	for _, m := range s.Trials {
-		agg.Merge(m.WriteLat)
-	}
-	if agg.Count() == 0 {
-		return make([]float64, len(stats.TailPoints))
-	}
-	return agg.Tail()
+	return s.mergedTail(func(m *core.Metrics) *stats.LatencyRecorder { return m.WriteLat })
 }
 
 // MergedFaultTail aggregates all trials' major-fault service times at
 // the paper's tail points (the fault-latency CDF of the degraded-device
 // sweep). Trials without a recorder contribute nothing.
 func (s *Series) MergedFaultTail() []float64 {
-	agg := stats.NewLatencyRecorder(0)
-	for _, m := range s.Trials {
-		if m.FaultLat != nil {
-			agg.Merge(m.FaultLat)
-		}
+	return s.mergedTail(func(m *core.Metrics) *stats.LatencyRecorder { return m.FaultLat })
+}
+
+// mergedTail is the tail of one recorder per trial, the trials' samples
+// taken together; all zeros when no trial recorded any.
+func (s *Series) mergedTail(of func(*core.Metrics) *stats.LatencyRecorder) []float64 {
+	recs := make([]*stats.LatencyRecorder, len(s.Trials))
+	for i := range s.Trials {
+		recs[i] = of(&s.Trials[i])
 	}
-	if agg.Count() == 0 {
-		return make([]float64, len(stats.TailPoints))
-	}
-	return agg.Tail()
+	return stats.MergedTail(recs...)
 }
 
 // InjectionTotals sums the fault plane's injection counters across all

@@ -1,23 +1,25 @@
 package stats
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // TailPoints are the percentiles reported in the paper's tail-latency
 // figures (Figs. 3, 8, 12).
 var TailPoints = []float64{50, 90, 99, 99.9, 99.99}
 
 // LatencyRecorder accumulates per-request latencies (virtual nanoseconds)
-// and produces tail distributions. It stores raw samples: the experiment
-// scales are small enough that exact percentiles are affordable, and
-// exactness matters at p99.99.
+// and produces tail distributions. It stores raw samples, so every
+// percentile is exact, and exactness matters at p99.99. A query does not
+// sort them: MergedPercentiles copies them into a scratch buffer and
+// partitions it only until the order statistics each percentile reads
+// are in place.
 type LatencyRecorder struct {
 	// samples stays in insertion order for the recorder's lifetime —
 	// Samples() and everything persisted from it (checkpoint envelopes)
 	// must not depend on whether a percentile was queried first.
 	samples []int64
-	// sorted is a lazily-built sorted copy serving percentile queries,
-	// invalidated by Record/Merge.
-	sorted []int64
 }
 
 // NewLatencyRecorder returns a recorder with capacity hint n.
@@ -35,7 +37,6 @@ func NewLatencyRecorderFrom(samples []int64) *LatencyRecorder {
 // Record adds one latency observation.
 func (l *LatencyRecorder) Record(ns int64) {
 	l.samples = append(l.samples, ns)
-	l.sorted = nil
 }
 
 // Count reports the number of recorded observations.
@@ -53,45 +54,154 @@ func (l *LatencyRecorder) Mean() float64 {
 	return s / float64(len(l.samples))
 }
 
-func (l *LatencyRecorder) sort() []int64 {
-	if l.sorted == nil {
-		// slices.Sort specializes on int64 — no per-comparison closure call.
-		// Sorting a copy keeps l.samples in insertion order: an earlier
-		// version sorted in place, silently reordering what Samples()
-		// exposed (and the checkpoint layer persisted) depending on whether
-		// a percentile had been queried first.
-		l.sorted = append(make([]int64, 0, len(l.samples)), l.samples...)
-		slices.Sort(l.sorted)
-	}
-	return l.sorted
-}
-
 // Percentile returns the p-th percentile latency in nanoseconds.
 // It returns 0 when no samples have been recorded.
 func (l *LatencyRecorder) Percentile(p float64) float64 {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	s := l.sort()
-	if len(s) == 1 {
-		return float64(s[0])
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return float64(s[len(s)-1])
-	}
-	return float64(s[lo])*(1-frac) + float64(s[lo+1])*frac
+	return MergedPercentiles([]float64{p}, l)[0]
 }
 
 // Tail returns the latencies at each of TailPoints.
-func (l *LatencyRecorder) Tail() []float64 {
-	out := make([]float64, len(TailPoints))
-	for i, p := range TailPoints {
-		out[i] = l.Percentile(p)
+func (l *LatencyRecorder) Tail() []float64 { return MergedTail(l) }
+
+// MergedTail returns the latencies at each of TailPoints over the samples
+// of all recs taken together.
+func MergedTail(recs ...*LatencyRecorder) []float64 {
+	return MergedPercentiles(TailPoints, recs...)
+}
+
+// MergedPercentiles returns the p-th percentile, for each p in ps, of the
+// samples of all recs taken together. Each is interpolated linearly
+// between the two order statistics around rank p/100·(n−1). Nil and empty
+// recorders contribute nothing, and with no samples every percentile is
+// 0. The recorders are left as they were.
+//
+// The samples are copied into one buffer that is partitioned only until
+// the order statistics the interpolation reads sit where sorting would
+// put them: expected O(n) work for a handful of points, not a full sort.
+func MergedPercentiles(ps []float64, recs ...*LatencyRecorder) []float64 {
+	n := 0
+	for _, r := range recs {
+		if r != nil {
+			n += len(r.samples)
+		}
+	}
+	out := make([]float64, len(ps))
+	if n == 0 {
+		return out
+	}
+	buf := make([]int64, 0, n)
+	for _, r := range recs {
+		if r != nil {
+			buf = append(buf, r.samples...)
+		}
+	}
+	if n == 1 {
+		for i := range out {
+			out[i] = float64(buf[0])
+		}
+		return out
+	}
+	ranks := make([]int, 0, 2*len(ps))
+	for _, p := range ps {
+		if lo, _ := rankOf(p, n); lo+1 < n {
+			ranks = append(ranks, lo, lo+1)
+		} else {
+			ranks = append(ranks, n-1)
+		}
+	}
+	slices.Sort(ranks)
+	selectRanks(buf, 0, n, slices.Compact(ranks), 2*bits.Len(uint(n-1)))
+	for i, p := range ps {
+		lo, frac := rankOf(p, n)
+		if lo+1 >= n {
+			out[i] = float64(buf[n-1])
+			continue
+		}
+		// The explicit conversions keep the compiler from fusing the
+		// products and the sum into one FMA on architectures that have
+		// it, so every architecture rounds as amd64 does.
+		out[i] = float64(float64(buf[lo])*(1-frac)) + float64(float64(buf[lo+1])*frac)
 	}
 	return out
+}
+
+// rankOf returns the order statistic at or below the p-th percentile of
+// n > 1 samples and the weight of the one above it.
+func rankOf(p float64, n int) (lo int, frac float64) {
+	rank := float64(p / 100 * float64(n-1))
+	lo = int(rank)
+	return lo, rank - float64(lo)
+}
+
+// selectRanks reorders s[lo:hi] so that s[k], for every k in ranks, holds
+// the value it would hold were s[lo:hi] sorted. ranks is sorted and
+// unique; ranks outside [lo, hi) are ignored. It is a quickselect that
+// follows every wanted rank: a three-way partition around a median-of-3
+// pivot fixes the pivot's run of equal values, and only the sides that
+// still hold a wanted rank are partitioned further. Once depth partitions
+// have been spent on a range, it is sorted, which bounds an adversarial
+// input at O(n log n). It reports how many ranges it sorted for that.
+func selectRanks(s []int64, lo, hi int, ranks []int, depth int) (fellBack int) {
+	for len(ranks) > 0 {
+		if hi-lo <= 12 {
+			slices.Sort(s[lo:hi])
+			return fellBack
+		}
+		if depth == 0 {
+			slices.Sort(s[lo:hi])
+			return fellBack + 1
+		}
+		depth--
+		lt, gt := partition3(s[lo:hi], medianOf3(s[lo], s[lo+(hi-lo)/2], s[hi-1]))
+		lt, gt = lo+lt, lo+gt
+		left, _ := slices.BinarySearch(ranks, lt)
+		right, _ := slices.BinarySearch(ranks, gt)
+		if left > 0 {
+			fellBack += selectRanks(s, lo, lt, ranks[:left], depth)
+		}
+		lo, ranks = gt, ranks[right:]
+	}
+	return fellBack
+}
+
+// partition3 reorders s around pivot into s[:lt] < pivot,
+// s[lt:gt] == pivot and s[gt:] > pivot. Each of its two passes swaps
+// unconditionally and only advances a bound by the comparison, so random
+// input costs it no branch mispredictions.
+func partition3(s []int64, pivot int64) (lt, gt int) {
+	for i, v := range s {
+		s[i] = s[lt]
+		s[lt] = v
+		lt += b2i(v < pivot)
+	}
+	gt = lt
+	for i, v := range s[lt:] {
+		i += lt
+		s[i] = s[gt]
+		s[gt] = v
+		gt += b2i(v == pivot)
+	}
+	return lt, gt
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc, not
+// a branch.
+func b2i(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
+}
+
+func medianOf3(a, b, c int64) int64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // Samples returns a copy of the raw observations in insertion order. The
@@ -104,5 +214,4 @@ func (l *LatencyRecorder) Samples() []int64 {
 // Merge appends all observations from other.
 func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
 	l.samples = append(l.samples, other.samples...)
-	l.sorted = nil
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -48,17 +49,7 @@ func refMerged(recs []*LatencyRecorder, ps []float64) []float64 {
 // mergedPercentiles is the path under test: the percentiles of the
 // recorders' samples taken together.
 func mergedPercentiles(recs []*LatencyRecorder, ps []float64) []float64 {
-	agg := NewLatencyRecorder(0)
-	for _, r := range recs {
-		if r != nil {
-			agg.Merge(r)
-		}
-	}
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = agg.Percentile(p)
-	}
-	return out
+	return MergedPercentiles(ps, recs...)
 }
 
 // selectPoints are the percentiles every differential check reads: the
@@ -178,6 +169,73 @@ func TestMergedPercentilesMatchSortReference(t *testing.T) {
 		}
 	}
 	walk(nil)
+}
+
+// medianOf3Killer returns n values on which selectRanks, chasing ranks
+// in the upper half, picks the second-smallest value of its range as
+// the pivot at every partition, so each partition fixes only two
+// elements. It is built as McIlroy's adversary builds one: replay the
+// kernel's own pivot choice and partition on an array whose unassigned
+// elements ("gas") all compare above every assigned value, and assign
+// the two smallest values still free to the first and middle elements
+// of the range just before each pivot is taken. Gas carries its
+// original index, so the replay knows where each element went; values
+// still unassigned at the end are given in index order, above the rest.
+func medianOf3Killer(n int) []int64 {
+	const gas = int64(1) << 40
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = gas + int64(i)
+	}
+	vals := make([]int64, n)
+	assign := func(j int, v int64) {
+		vals[w[j]-gas] = v
+		w[j] = v
+	}
+	next := int64(0)
+	for lo := 0; n-lo > 12; lo += 2 {
+		assign(lo, next)
+		assign(lo+(n-lo)/2, next+1)
+		next += 2
+		pivot := medianOf3(w[lo], w[lo+(n-lo)/2], w[n-1])
+		if lt, gt := partition3(w[lo:], pivot); lt != 1 || gt != 2 {
+			panic("the adversary lost track of the partition")
+		}
+	}
+	for _, v := range w {
+		if v >= gas {
+			vals[v-gas] = next + v - gas
+		}
+	}
+	return vals
+}
+
+// TestSelectRanksDepthLimit drives the kernel into its depth-limit
+// fallback with a median-of-3 killer and checks that the percentiles
+// still match the reference, while random input of the same size never
+// falls back.
+func TestSelectRanksDepthLimit(t *testing.T) {
+	const n = 2000
+	killer := medianOf3Killer(n)
+	ranks := []int{n / 2, n/2 + 1, n - 2, n - 1}
+	budget := 2 * bits.Len(uint(n-1))
+	if fell := selectRanks(slices.Clone(killer), 0, n, ranks, budget); fell == 0 {
+		t.Fatal("the median-of-3 killer did not reach the depth-limit fallback")
+	}
+	random := rand.New(rand.NewSource(7)).Perm(n)
+	buf := make([]int64, n)
+	for i, v := range random {
+		buf[i] = int64(v)
+	}
+	if fell := selectRanks(buf, 0, n, ranks, budget); fell != 0 {
+		t.Fatalf("a random permutation fell back to sorting %d times", fell)
+	}
+	checkAgainstRef(t, "median-of-3-killer", killer)
+	half := NewLatencyRecorderFrom(slices.Clone(killer[:n/2]))
+	rest := NewLatencyRecorderFrom(slices.Clone(killer[n/2:]))
+	sameBits(t, "median-of-3-killer merged", selectPoints,
+		mergedPercentiles([]*LatencyRecorder{half, nil, rest}, selectPoints),
+		refMerged([]*LatencyRecorder{half, rest}, selectPoints))
 }
 
 // FuzzMergedTail splits fuzzed int64s across recorders, cut where the
