@@ -1,8 +1,9 @@
 // Package bench holds micro benchmarks over the simulator's hot paths:
 // the fault/evict cycle, MG-LRU aging walks, Clock's scan, rmap chases,
 // the page cache, telemetry spans, a full-scale-geometry fault path, the
-// engine's switch from one proc to another, a ZRAM swap-out and the
-// decode of a checkpointed series.
+// engine's switch from one proc to another, a ZRAM swap-out, the
+// decode of a checkpointed series and the tail percentiles of a merged
+// fault series.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
@@ -12,6 +13,7 @@
 package bench
 
 import (
+	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -29,6 +31,7 @@ import (
 	"mglrusim/internal/policy/simple"
 	"mglrusim/internal/rmap"
 	"mglrusim/internal/sim"
+	"mglrusim/internal/stats"
 	"mglrusim/internal/swap"
 	"mglrusim/internal/telemetry"
 	"mglrusim/internal/zram"
@@ -113,6 +116,11 @@ func BenchmarkSeriesDecode(b *testing.B) {
 	benchSeriesDecode(b.N, b.ResetTimer)
 }
 
+func BenchmarkMergedTail(b *testing.B) {
+	b.ReportAllocs()
+	benchMergedTail(b.N, b.ResetTimer)
+}
+
 // TestSuiteRunsTiny runs every benchmark body at a small op count, so a
 // plain `go test` exercises each hot path the benchmarks time.
 func TestSuiteRunsTiny(t *testing.T) {
@@ -139,6 +147,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		{"proc-switch", benchProcSwitch, 16},
 		{"zram-write", benchZRAMWrite, 16},
 		{"series-decode", benchSeriesDecode, 2},
+		{"merged-tail", benchMergedTail, 2},
 	}
 	for _, s := range suite {
 		t.Run(s.name, func(t *testing.T) { s.fn(s.ops, func() {}) })
@@ -578,5 +587,30 @@ func benchSeriesDecode(n int, reset func()) {
 		if _, _, ok := experiments.SummarizeSeriesBlob(blob); !ok {
 			panic("stored artifact rejected")
 		}
+	}
+}
+
+// benchMergedTail measures what one tail row of the page-cache figures
+// costs once its series is decoded: the paper's tail points over the
+// major-fault latencies of two trials taken together. Each trial holds
+// 15,000 samples, about what one ext2/ext3 cell records per trial at
+// scale 1, nearly all of them distinct.
+func benchMergedTail(n int, reset func()) {
+	rng := rand.New(rand.NewSource(24))
+	s := &experiments.Series{Trials: make([]core.Metrics, 2)}
+	for i := range s.Trials {
+		lat := stats.NewLatencyRecorder(15_000)
+		for j := 0; j < 15_000; j++ {
+			ns := 80_000 + rng.Int63n(40_000)
+			if rng.Intn(100) == 0 {
+				ns += rng.Int63n(5_000_000) // a device stall
+			}
+			lat.Record(ns)
+		}
+		s.Trials[i].FaultLat = lat
+	}
+	reset()
+	for i := 0; i < n; i++ {
+		s.MergedFaultTail()
 	}
 }
