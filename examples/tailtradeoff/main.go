@@ -41,13 +41,12 @@ func main() {
 
 		for _, class := range []string{"read", "write"} {
 			fmt.Printf("\n%s latency        clock        mglru   mglru/clock\n", class)
-			for _, p := range mglrusim.TailPoints {
-				var a, b float64
-				if class == "read" {
-					a, b = results[0].read.Percentile(p), results[1].read.Percentile(p)
-				} else {
-					a, b = results[0].wrte.Percentile(p), results[1].wrte.Percentile(p)
-				}
+			clock, mglru := results[0].read.Tail(), results[1].read.Tail()
+			if class == "write" {
+				clock, mglru = results[0].wrte.Tail(), results[1].wrte.Tail()
+			}
+			for i, p := range mglrusim.TailPoints {
+				a, b := clock[i], mglru[i]
 				fmt.Printf("  p%-7g %10.2fms %10.2fms %10.2f\n", p, a/1e6, b/1e6, ratio(b, a))
 			}
 		}
