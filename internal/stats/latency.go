@@ -12,9 +12,8 @@ var TailPoints = []float64{50, 90, 99, 99.9, 99.99}
 // LatencyRecorder accumulates per-request latencies (virtual nanoseconds)
 // and produces tail distributions. It stores raw samples, so every
 // percentile is exact, and exactness matters at p99.99. A query does not
-// sort them: MergedPercentiles copies them into a scratch buffer and
-// partitions it only until the order statistics each percentile reads
-// are in place.
+// sort them: it copies them into a scratch buffer and partitions that
+// only until the order statistics each percentile reads are in place.
 type LatencyRecorder struct {
 	// samples stays in insertion order for the recorder's lifetime —
 	// Samples() and everything persisted from it (checkpoint envelopes)
@@ -57,7 +56,7 @@ func (l *LatencyRecorder) Mean() float64 {
 // Percentile returns the p-th percentile latency in nanoseconds.
 // It returns 0 when no samples have been recorded.
 func (l *LatencyRecorder) Percentile(p float64) float64 {
-	return MergedPercentiles([]float64{p}, l)[0]
+	return percentiles([]float64{p}, l)[0]
 }
 
 // Tail returns the latencies at each of TailPoints.
@@ -66,10 +65,10 @@ func (l *LatencyRecorder) Tail() []float64 { return MergedTail(l) }
 // MergedTail returns the latencies at each of TailPoints over the samples
 // of all recs taken together.
 func MergedTail(recs ...*LatencyRecorder) []float64 {
-	return MergedPercentiles(TailPoints, recs...)
+	return percentiles(TailPoints, recs...)
 }
 
-// MergedPercentiles returns the p-th percentile, for each p in ps, of the
+// percentiles returns the p-th percentile, for each p in ps, of the
 // samples of all recs taken together. Each is interpolated linearly
 // between the two order statistics around rank p/100·(n−1). Nil and empty
 // recorders contribute nothing, and with no samples every percentile is
@@ -78,7 +77,7 @@ func MergedTail(recs ...*LatencyRecorder) []float64 {
 // The samples are copied into one buffer that is partitioned only until
 // the order statistics the interpolation reads sit where sorting would
 // put them: expected O(n) work for a handful of points, not a full sort.
-func MergedPercentiles(ps []float64, recs ...*LatencyRecorder) []float64 {
+func percentiles(ps []float64, recs ...*LatencyRecorder) []float64 {
 	n := 0
 	for _, r := range recs {
 		if r != nil {

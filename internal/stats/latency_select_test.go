@@ -46,12 +46,6 @@ func refMerged(recs []*LatencyRecorder, ps []float64) []float64 {
 	return out
 }
 
-// mergedPercentiles is the path under test: the percentiles of the
-// recorders' samples taken together.
-func mergedPercentiles(recs []*LatencyRecorder, ps []float64) []float64 {
-	return MergedPercentiles(ps, recs...)
-}
-
 // selectPoints are the percentiles every differential check reads: the
 // paper's tail points and both ends.
 var selectPoints = append([]float64{0}, append(slices.Clone(TailPoints), 100)...)
@@ -80,7 +74,7 @@ func checkAgainstRef(t *testing.T, what string, samples []int64) {
 	}
 	sameBits(t, what+" Percentile", selectPoints, got, want)
 	sameBits(t, what+" Tail", TailPoints, l.Tail(), want[1:len(want)-1])
-	sameBits(t, what+" merged", selectPoints, mergedPercentiles([]*LatencyRecorder{l}, selectPoints), want)
+	sameBits(t, what+" merged", selectPoints, percentiles(selectPoints, l), want)
 	if !slices.Equal(l.Samples(), samples) {
 		t.Fatalf("%s: a percentile query reordered the recorder's samples", what)
 	}
@@ -151,7 +145,7 @@ func TestMergedPercentilesMatchSortReference(t *testing.T) {
 			}
 		}
 		want := refMerged(recs, selectPoints)
-		sameBits(t, "merge", selectPoints, mergedPercentiles(recs, selectPoints), want)
+		sameBits(t, "merge", selectPoints, percentiles(selectPoints, recs...), want)
 		var after [][]int64
 		for _, r := range recs {
 			if r != nil {
@@ -234,7 +228,7 @@ func TestSelectRanksDepthLimit(t *testing.T) {
 	half := NewLatencyRecorderFrom(slices.Clone(killer[:n/2]))
 	rest := NewLatencyRecorderFrom(slices.Clone(killer[n/2:]))
 	sameBits(t, "median-of-3-killer merged", selectPoints,
-		mergedPercentiles([]*LatencyRecorder{half, nil, rest}, selectPoints),
+		percentiles(selectPoints, half, nil, rest),
 		refMerged([]*LatencyRecorder{half, rest}, selectPoints))
 }
 
@@ -272,6 +266,6 @@ func FuzzMergedTail(f *testing.F) {
 			}
 		}
 		recs = append(recs, NewLatencyRecorderFrom(slices.Clone(vals[start:])))
-		sameBits(t, "fuzz", selectPoints, mergedPercentiles(recs, selectPoints), refMerged(recs, selectPoints))
+		sameBits(t, "fuzz", selectPoints, percentiles(selectPoints, recs...), refMerged(recs, selectPoints))
 	})
 }
