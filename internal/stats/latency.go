@@ -109,7 +109,7 @@ func percentiles(ps []float64, recs ...*LatencyRecorder) []float64 {
 		}
 	}
 	slices.Sort(ranks)
-	selectRanks(buf, 0, n, slices.Compact(ranks), 2*bits.Len(uint(n-1)))
+	selectRanks(buf, 0, n, slices.Compact(ranks), depthLimit(n))
 	for i, p := range ps {
 		lo, frac := rankOf(p, n)
 		if lo+1 >= n {
@@ -131,6 +131,10 @@ func rankOf(p float64, n int) (lo int, frac float64) {
 	lo = int(rank)
 	return lo, rank - float64(lo)
 }
+
+// depthLimit is the number of partitions selectRanks may spend on n
+// samples before it sorts what is left: 2·⌈log₂ n⌉.
+func depthLimit(n int) int { return 2 * bits.Len(uint(n-1)) }
 
 // selectRanks reorders s[lo:hi] so that s[k], for every k in ranks, holds
 // the value it would hold were s[lo:hi] sorted. ranks is sorted and

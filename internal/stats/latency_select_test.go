@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -212,8 +211,7 @@ func TestSelectRanksDepthLimit(t *testing.T) {
 	const n = 2000
 	killer := medianOf3Killer(n)
 	ranks := []int{n / 2, n/2 + 1, n - 2, n - 1}
-	budget := 2 * bits.Len(uint(n-1))
-	if fell := selectRanks(slices.Clone(killer), 0, n, ranks, budget); fell == 0 {
+	if fell := selectRanks(slices.Clone(killer), 0, n, ranks, depthLimit(n)); fell == 0 {
 		t.Fatal("the median-of-3 killer did not reach the depth-limit fallback")
 	}
 	random := rand.New(rand.NewSource(7)).Perm(n)
@@ -221,7 +219,7 @@ func TestSelectRanksDepthLimit(t *testing.T) {
 	for i, v := range random {
 		buf[i] = int64(v)
 	}
-	if fell := selectRanks(buf, 0, n, ranks, budget); fell != 0 {
+	if fell := selectRanks(buf, 0, n, ranks, depthLimit(n)); fell != 0 {
 		t.Fatalf("a random permutation fell back to sorting %d times", fell)
 	}
 	checkAgainstRef(t, "median-of-3-killer", killer)
