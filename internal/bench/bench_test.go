@@ -1,9 +1,9 @@
 // Package bench holds micro benchmarks over the simulator's hot paths:
 // the fault/evict cycle, MG-LRU aging walks, Clock's scan, rmap chases,
 // the page cache, telemetry spans, a full-scale-geometry fault path, the
-// engine's switch from one proc to another, a ZRAM swap-out, the
-// decode of a checkpointed series and the tail percentiles of a merged
-// fault series.
+// engine's switch from one proc to another (by coroutine and by an inline
+// step), a ZRAM swap-out, the decode of a checkpointed series and the tail
+// percentiles of a merged fault series.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
@@ -105,6 +105,11 @@ func BenchmarkProcSwitch(b *testing.B) {
 	benchProcSwitch(b.N, b.ResetTimer)
 }
 
+func BenchmarkStepSwitch(b *testing.B) {
+	b.ReportAllocs()
+	benchStepSwitch(b.N, b.ResetTimer)
+}
+
 func BenchmarkZRAMWrite(b *testing.B) {
 	b.ReportAllocs()
 	benchZRAMWrite(b.N, b.ResetTimer)
@@ -145,6 +150,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		// Enough faults to cycle the 4096-frame memory through reclaim.
 		{"fullscale-fault-path", benchFullScaleFaultPath, 20000},
 		{"proc-switch", benchProcSwitch, 16},
+		{"step-switch", benchStepSwitch, 16},
 		{"zram-write", benchZRAMWrite, 16},
 		{"series-decode", benchSeriesDecode, 2},
 		{"merged-tail", benchMergedTail, 2},
@@ -511,6 +517,37 @@ func benchProcSwitch(n int, reset func()) {
 				}
 				turn++
 				c.Signal(v.Engine())
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// benchStepSwitch measures one switch between suspended procs: two procs
+// on one CPU take turns through TryCharge, so each op is a charge that
+// parks its proc and a wakeup of the other one, whose step the dispatch
+// loop runs inline, with no coroutine switch.
+func benchStepSwitch(n int, reset func()) {
+	eng := sim.NewEngine(1)
+	ops := 0
+	for id := 0; id < 2; id++ {
+		eng.Spawn("step", false, func(v *sim.Env) {
+			step := func() bool {
+				for ops < n {
+					ops++
+					if !v.TryCharge(sim.Microsecond) {
+						return true
+					}
+				}
+				return false
+			}
+			if id == 0 {
+				reset()
+			}
+			if step() {
+				v.Suspend(step)
 			}
 		})
 	}

@@ -4,15 +4,35 @@ package sim
 // Signalled procs are scheduled as events at the current virtual time, so
 // wakeup order is deterministic (FIFO among waiters).
 type Cond struct {
+	// waiters[head:] is the FIFO queue. The backing array is reused: head
+	// resets when the queue drains, and enqueue compacts instead of
+	// growing while a dead prefix holds space.
 	waiters []*Proc
+	head    int
+}
+
+// enqueue appends p to the wait queue.
+func (c *Cond) enqueue(p *Proc) {
+	if c.head > 0 && len(c.waiters) == cap(c.waiters) {
+		n := copy(c.waiters, c.waiters[c.head:])
+		clear(c.waiters[n:])
+		c.waiters = c.waiters[:n]
+		c.head = 0
+	}
+	c.waiters = append(c.waiters, p)
 }
 
 // Signal wakes the longest-waiting proc, if any, and reports whether a proc
 // was woken. Must be called with engine control (from a proc or callback).
 func (c *Cond) Signal(e *Engine) bool {
-	for len(c.waiters) > 0 {
-		p := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for c.head < len(c.waiters) {
+		p := c.waiters[c.head]
+		c.waiters[c.head] = nil
+		c.head++
+		if c.head == len(c.waiters) {
+			c.waiters = c.waiters[:0]
+			c.head = 0
+		}
 		if p.state != stateWaiting {
 			continue
 		}
@@ -36,7 +56,7 @@ func (c *Cond) Broadcast(e *Engine) int {
 func (c *Cond) broadcastLocked(e *Engine) { c.Broadcast(e) }
 
 // Waiters reports how many procs are currently blocked on the cond.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return len(c.waiters) - c.head }
 
 // Barrier synchronizes a fixed group of procs: each arrival blocks until
 // the Nth proc arrives, which releases the whole group. Reusable across
@@ -59,18 +79,36 @@ func NewBarrier(n int) *Barrier {
 // Await blocks the calling proc until all n parties have arrived.
 // It returns the barrier round index that was completed.
 func (b *Barrier) Await(v *Env) int {
+	round := b.Arrive(v.engine)
+	for !b.Passed(v, round) {
+		v.proc.handoff()
+	}
+	return round
+}
+
+// Arrive counts one party's arrival without blocking and returns the
+// round it joined. The nth arrival completes the round and wakes the
+// parties waiting on it.
+func (b *Barrier) Arrive(e *Engine) int {
 	round := b.round
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
 		b.round++
-		b.cond.Broadcast(v.engine)
-		return round
-	}
-	for b.round == round {
-		v.Wait(&b.cond)
+		b.cond.Broadcast(e)
 	}
 	return round
+}
+
+// Passed reports whether round is complete. When it is not, Passed parks
+// the proc on the barrier, as TryWait does, and the proc asks again once
+// it is woken.
+func (b *Barrier) Passed(v *Env, round int) bool {
+	if b.round != round {
+		return true
+	}
+	v.TryWait(&b.cond)
+	return false
 }
 
 // WaitGroup counts outstanding work items across procs.

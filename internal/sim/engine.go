@@ -14,9 +14,11 @@ const DefaultQuantum Duration = 250 * Microsecond
 // Each proc is a coroutine (iter.Pull) driven by Run, so exactly one of
 // Run or one proc executes at any time. A proc that parks runs the
 // dispatch loop itself: inline callbacks run on its stack, and when the
-// next wakeup is its own it keeps running without a switch. Otherwise
-// it records the woken proc in next and yields to Run, which resumes
-// that proc: a context switch is one coroutine yield and one resume.
+// next wakeup is its own it keeps running without a switch. The wakeup
+// of a suspended proc (Env.Suspend) costs no switch either: its step
+// runs inline on the dispatching stack. Any other wakeup is recorded in
+// next, and the parking proc yields to Run, which resumes the woken
+// proc: that context switch is one coroutine yield and one resume.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -169,6 +171,33 @@ func (e *Engine) pushProc(t Time, p *Proc) {
 	p.eventSeq = e.push(event{at: t, proc: p})
 }
 
+// charge runs p.cpuLeft quantum by quantum. A quantum that no pending
+// event can interrupt advances time in place; at the first one that
+// can, charge pushes p's wakeup for the quantum's end and reports false,
+// leaving p parked and the rest in p.cpuLeft. Charge and TryCharge share
+// it, and a suspended proc's wakeup resumes it.
+func (e *Engine) charge(p *Proc) bool {
+	q := e.quantum
+	for p.cpuLeft > 0 {
+		chunk := min(p.cpuLeft, q)
+		p.cpuLeft -= chunk
+		e.setRunnable(p, true)
+		deadline := e.now + Time(e.dilate(chunk))
+		if e.canAdvanceTo(deadline) {
+			// Nothing can run before this quantum completes (the runnable
+			// set, and with it the dilation, cannot change without an
+			// event): advance time in place instead of a scheduler round
+			// trip through the event heap.
+			e.now = deadline
+			continue
+		}
+		p.state = stateSleeping
+		e.pushProc(deadline, p)
+		return false
+	}
+	return true
+}
+
 // canAdvanceTo reports whether the running proc may move virtual time
 // straight to t without yielding: the engine is not stopped and no pending
 // event is due at or before t. When it holds, a scheduler round trip would
@@ -255,7 +284,8 @@ func (e *Engine) dispatch() { e.dispatchFrom(nil) }
 // wakeup belongs to self (the proc currently parking), it reports true
 // and self simply keeps running — no coroutine switch at all. This is
 // common when inline After callbacks interleave with a proc that is
-// otherwise the earliest sleeper.
+// otherwise the earliest sleeper. A suspended proc's wakeup is stepped
+// inline (stepInline), and the loop goes on if the step parked it again.
 func (e *Engine) dispatchFrom(self *Proc) bool {
 	e.running = nil
 	for {
@@ -275,17 +305,49 @@ func (e *Engine) dispatchFrom(self *Proc) bool {
 			ev.fn()
 			continue
 		}
-		if ev.proc.state == stateDone || ev.proc.eventSeq != ev.seq {
+		p := ev.proc
+		if p.state == stateDone || p.eventSeq != ev.seq {
 			continue // stale wakeup
 		}
-		e.running = ev.proc
-		ev.proc.state = stateRunning
-		if ev.proc == self {
+		e.running = p
+		p.state = stateRunning
+		if p.step != nil && e.stepInline(p) {
+			e.running = nil
+			continue
+		}
+		if p == self {
 			return true
 		}
-		e.next = ev.proc
+		e.next = p
 		return false
 	}
+}
+
+// stepInline continues the suspended proc p on the dispatching stack:
+// the rest of its charge, then its step. It reports true when p parked
+// again and stays suspended, false to hand p back to its coroutine. A
+// panic in the step is kept in p.stepPanic, for Suspend to re-raise on
+// p's coroutine, where the proc's own recovery classifies it.
+func (e *Engine) stepInline(p *Proc) (parked bool) {
+	if !e.charge(p) {
+		return true
+	}
+	defer func() {
+		p.stepping = false
+		if r := recover(); r != nil {
+			p.stepPanic = r
+			p.state = stateRunning
+			parked = false
+		}
+	}()
+	p.stepping = true
+	if !p.step() {
+		return false
+	}
+	if p.state == stateRunning {
+		panic("sim: a step returned true without parking")
+	}
+	return true
 }
 
 // finish records proc completion and dispatches the next entity. Runs on

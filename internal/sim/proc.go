@@ -49,7 +49,10 @@ func IsKillSignal(r any) bool {
 }
 
 // Proc is a simulated task: a coroutine that runs only while Run has
-// resumed it, making execution fully deterministic.
+// resumed it, making execution fully deterministic. A proc suspended
+// with Env.Suspend is continued without its coroutine: the engine runs
+// its step inline, on whichever stack dispatches the wakeup, until the
+// step hands the proc back.
 type Proc struct {
 	name   string
 	daemon bool
@@ -70,6 +73,16 @@ type Proc struct {
 
 	// cpuTime accumulates the proc's charged (undilated) CPU work.
 	cpuTime Duration
+	// cpuLeft is the CPU work of the current Charge or TryCharge not yet
+	// run (Engine.charge).
+	cpuLeft Duration
+
+	// step is the continuation of a suspended proc (Env.Suspend), nil
+	// otherwise. stepping is set while it runs, and stepPanic holds a
+	// panic recovered from it until Suspend re-raises it.
+	step      func() bool
+	stepping  bool
+	stepPanic any
 }
 
 // Name reports the name given at Spawn.
@@ -123,6 +136,10 @@ func (p *Proc) top(fn func(*Env)) {
 // recorded the proc's parked state and any wakeup event before calling.
 // On resume during shutdown it unwinds via killSignal.
 func (p *Proc) handoff() {
+	if p.stepping {
+		// A step runs on a stack that is not this proc's coroutine.
+		panic("sim: blocking call in a step")
+	}
 	if p.engine.dispatchFrom(p) {
 		return // our own wakeup was next; no switch needed
 	}
@@ -153,33 +170,26 @@ func (v *Env) Proc() *Proc { return v.proc }
 // contention. The work is split into quanta so dilation follows changes in
 // the runnable set. Virtual time advances by at least d.
 func (v *Env) Charge(d Duration) {
+	done := v.TryCharge(d)
+	for !done {
+		v.proc.handoff()
+		done = v.engine.charge(v.proc)
+	}
+}
+
+// TryCharge is the non-blocking form of Charge. It reports true when all
+// of d was charged in place. Otherwise it parks the proc at the first
+// quantum that has to wait for other events and returns false; the rest
+// of d is charged when the proc is continued. The caller must then
+// return from its step, or call Suspend.
+func (v *Env) TryCharge(d Duration) bool {
 	if d < 0 {
 		panic("sim: Charge with negative duration")
 	}
-	e, p := v.engine, v.proc
+	p := v.proc
 	p.cpuTime += d
-	q := e.quantum
-	for d > 0 {
-		chunk := d
-		if chunk > q {
-			chunk = q
-		}
-		d -= chunk
-		e.setRunnable(p, true)
-		wall := e.dilate(chunk)
-		deadline := e.now + Time(wall)
-		if e.canAdvanceTo(deadline) {
-			// Nothing can run before this quantum completes (the runnable
-			// set, and with it the dilation, cannot change without an
-			// event): advance time in place instead of a scheduler round
-			// trip through the event heap.
-			e.now = deadline
-			continue
-		}
-		p.state = stateSleeping
-		e.pushProc(deadline, p)
-		p.handoff()
-	}
+	p.cpuLeft = d
+	return v.engine.charge(p)
 }
 
 // Sleep blocks the proc for d nanoseconds without consuming CPU
@@ -221,11 +231,40 @@ func (v *Env) Yield() {
 // Wait blocks the proc until c is signalled. The proc does not consume CPU
 // while waiting.
 func (v *Env) Wait(c *Cond) {
+	v.TryWait(c)
+	v.proc.handoff()
+}
+
+// TryWait is the non-blocking form of Wait: it parks the proc on c and
+// returns at once. The proc is continued once c is signalled. The caller
+// must then return from its step, or call Suspend.
+func (v *Env) TryWait(c *Cond) {
 	e, p := v.engine, v.proc
 	e.setRunnable(p, false)
 	p.state = stateWaiting
-	c.waiters = append(c.waiters, p)
+	c.enqueue(p)
+}
+
+// Suspend continues the proc without its coroutine until step hands it
+// back. The proc must already be parked, by a TryCharge that returned
+// false or by TryWait. At each wakeup the engine charges the proc's
+// leftover CPU quanta and then runs step, inline on whichever stack
+// dispatches the wakeup, so a wakeup costs no coroutine switch. step must
+// not block: it parks the proc again with TryCharge or TryWait and
+// returns true, or returns false to resume the proc here, where Suspend
+// returns. A panic in step is re-raised from Suspend.
+func (v *Env) Suspend(step func() bool) {
+	p := v.proc
+	if p.state == stateRunning {
+		panic("sim: Suspend of a proc that is not parked")
+	}
+	p.step = step
 	p.handoff()
+	p.step = nil
+	if r := p.stepPanic; r != nil {
+		p.stepPanic = nil
+		panic(r)
+	}
 }
 
 // WaitFor blocks until pred() is true, re-checking each time c is

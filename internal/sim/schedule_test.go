@@ -24,7 +24,12 @@ const scheduleDigest = "ef8b315e8b67e7868d8a7a3f266ae7be48914200915cd44ca124a653
 // instant as proc wakeups, before and after them in push order; procs
 // are spawned from a proc and from a callback; a daemon is killed at
 // shutdown; and Stop kills a sleeping proc and a proc never started.
-func scheduleScript() string {
+//
+// With suspend set, procs a, b and c and the Cond waiters run the same
+// steps as suspended procs: TryCharge, TryWait and the barrier's
+// Arrive/Passed in a step, handing back to the coroutine to sleep, to
+// yield and to finish.
+func scheduleScript(suspend bool) string {
 	e := NewEngine(2)
 	e.SetQuantum(100 * Microsecond)
 	var log strings.Builder
@@ -41,6 +46,10 @@ func scheduleScript() string {
 	var wg WaitGroup
 	wg.Add(3)
 	for i, name := range []string{"a", "b", "c"} {
+		if suspend {
+			e.Spawn(name, false, func(v *Env) { suspendedWorker(v, i, step, &cond, bar, &wg) })
+			continue
+		}
 		e.Spawn(name, false, func(v *Env) {
 			for it := 0; it < 4; it++ {
 				v.Charge(Duration(150*(i+1)+50*it) * Microsecond)
@@ -70,6 +79,24 @@ func scheduleScript() string {
 		})
 	}
 	for _, name := range []string{"w1", "w2", "w3"} {
+		if suspend {
+			e.Spawn(name, false, func(v *Env) {
+				k := 0
+				v.TryWait(&cond)
+				v.Suspend(func() bool {
+					if v.proc.stepping {
+						inlineSteps++
+					}
+					step("woken %d", k)
+					if k++; k == 2 {
+						return false
+					}
+					v.TryWait(&cond)
+					return true
+				})
+			})
+			continue
+		}
 		e.Spawn(name, false, func(v *Env) {
 			for k := 0; k < 2; k++ {
 				v.Wait(&cond)
@@ -140,12 +167,103 @@ func scheduleScript() string {
 	return log.String()
 }
 
+// inlineSteps counts the steps of scheduleScript's suspended procs that
+// ran inline, off their own coroutines.
+var inlineSteps int
+
+// suspendedWorker is scheduleScript's worker i written as a suspended
+// proc: its charges, Cond signals and barrier run in steps, and its
+// sleeps, yields and end on its coroutine.
+func suspendedWorker(v *Env, i int, step func(string, ...any), cond *Cond, bar *Barrier, wg *WaitGroup) {
+	const (
+		charge = iota
+		charged
+		onCoroutine // sleep or yield
+		arrive
+		await
+		finish
+		done
+	)
+	phase, it, round := charge, 0, 0
+	next := func() {
+		if i == 0 && it == 1 {
+			v.Engine().Spawn("a-child", false, func(cv *Env) {
+				step("child start")
+				cv.Charge(120 * Microsecond)
+				step("child end")
+			})
+		}
+		it++
+		phase = charge
+	}
+	run := func() bool {
+		if v.proc.stepping {
+			inlineSteps++
+		}
+		for {
+			switch phase {
+			case charge:
+				if it == 4 {
+					phase = arrive
+					continue
+				}
+				phase = charged
+				if !v.TryCharge(Duration(150*(i+1)+50*it) * Microsecond) {
+					return true
+				}
+			case charged:
+				step("charged %d", it)
+				if (i+it)%3 != 2 {
+					phase = onCoroutine
+					return false
+				}
+				step("signal %v", cond.Signal(v.Engine()))
+				next()
+			case arrive:
+				round = bar.Arrive(v.Engine())
+				phase = await
+			case await:
+				if !bar.Passed(v, round) {
+					return true
+				}
+				step("barrier round %d", round)
+				phase = finish
+				if !v.TryCharge(Duration(40*(i+1)) * Microsecond) {
+					return true
+				}
+			case finish:
+				wg.DoneOne(v.Engine())
+				step("done")
+				phase = done
+				return false
+			case onCoroutine, done:
+				return false
+			}
+		}
+	}
+	for phase != done {
+		if run() {
+			v.Suspend(run)
+		}
+		if phase == onCoroutine {
+			if (i+it)%3 == 0 {
+				v.Sleep(Duration(70*(it+1)) * Microsecond)
+				step("slept")
+			} else {
+				v.Yield()
+				step("yielded")
+			}
+			next()
+		}
+	}
+}
+
 // TestEngineScheduleDigest pins the engine's step order byte for byte:
 // which proc or callback runs, at what virtual time, in what order.
 // Every figure and trace rests on that order, so an engine change must
 // leave this digest as it is.
 func TestEngineScheduleDigest(t *testing.T) {
-	log := scheduleScript()
+	log := scheduleScript(false)
 	for _, want := range []string{"after-300", "after-1ms", "after-1ms second", "cb-child end", "child end",
 		"signal true", "broadcast", "barrier round 0", "joined", "daemon unwound",
 		"late unwound", "stopper unwound", "run err=<nil>"} {
@@ -158,12 +276,27 @@ func TestEngineScheduleDigest(t *testing.T) {
 			t.Errorf("step log has %q", never)
 		}
 	}
-	if again := scheduleScript(); again != log {
+	if again := scheduleScript(false); again != log {
 		t.Fatal("two runs of the script logged different steps")
 	}
 	sum := sha256.Sum256([]byte(log))
 	if got := hex.EncodeToString(sum[:]); got != scheduleDigest {
 		t.Fatalf("schedule digest = %s, want %s\n%s", got, scheduleDigest, log)
+	}
+}
+
+// TestSuspendedScheduleDigest runs the script with its charging, waiting
+// and barrier procs suspended: stepping them inline must not move a
+// single step.
+func TestSuspendedScheduleDigest(t *testing.T) {
+	inlineSteps = 0
+	log := scheduleScript(true)
+	if inlineSteps == 0 {
+		t.Error("no step ran inline")
+	}
+	sum := sha256.Sum256([]byte(log))
+	if got := hex.EncodeToString(sum[:]); got != scheduleDigest {
+		t.Fatalf("suspended schedule digest = %s, want %s\n%s", got, scheduleDigest, log)
 	}
 }
 
