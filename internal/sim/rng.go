@@ -94,7 +94,10 @@ func (r *RNG) NormFloat64() float64 {
 
 // LogNormal returns exp(N(mu, sigma)). Used for device-latency jitter.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	// The explicit conversion keeps the compiler from fusing the product
+	// and the sum into one FMA on architectures that have it, so every
+	// architecture rounds as amd64 does.
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // ExpFloat64 returns an exponential variate with mean 1. Used for

@@ -9,28 +9,30 @@ import (
 )
 
 // fusedOp matches a fused multiply-add in `-gcflags=-S` output attributed
-// to a line of latency.go or runner.go.
-var fusedOp = regexp.MustCompile(`/(latency|runner)\.go:\d+\)\s+(FMADD|FMSUB|FNMADD|FNMSUB)\S*`)
+// to a line of latency.go, runner.go, rng.go or zipf.go.
+var fusedOp = regexp.MustCompile(`/(latency|runner|rng|zipf)\.go:\d+\)\s+(FMADD|FMSUB|FNMADD|FNMSUB)\S*`)
 
-// TestNoFusedMultiplyAdd cross-compiles the percentile kernel and the
-// experiment series helpers for arm64, where the compiler may fuse
-// x*y+z into one instruction that rounds once. A fused site rounds
-// differently from amd64, which never fuses, so a figure would differ
-// by architecture. The explicit float64 conversions prevent fusing; this
-// fails if one goes missing. It only compiles, from GOROOT, and runs
-// nothing on arm64.
+// TestNoFusedMultiplyAdd cross-compiles the percentile kernel, the
+// experiment series helpers, the simulation RNG and the Zipfian key
+// generator for arm64, where the compiler may fuse x*y+z into one
+// instruction that rounds once. A fused site rounds differently from
+// amd64, which never fuses, so a figure would differ by architecture.
+// The explicit float64 conversions prevent fusing; this fails if one
+// goes missing. It only compiles, from GOROOT, and runs nothing on
+// arm64.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("slow: cross-compiles two packages")
+		t.Skip("slow: cross-compiles four packages")
 	}
 	gotool := filepath.Join(runtime.GOROOT(), "bin", "go")
-	cmd := exec.Command(gotool, "build", "-gcflags=-S", "mglrusim/internal/stats", "mglrusim/internal/experiments")
+	cmd := exec.Command(gotool, "build", "-gcflags=-S", "mglrusim/internal/stats", "mglrusim/internal/experiments",
+		"mglrusim/internal/sim", "mglrusim/internal/workload")
 	cmd.Env = append(cmd.Environ(), "GOARCH=arm64", "GOOS=linux", "CGO_ENABLED=0", "GOFLAGS=")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("arm64 build: %v\n%s", err, out)
 	}
-	for _, file := range []string{"latency.go", "runner.go"} {
+	for _, file := range []string{"latency.go", "runner.go", "rng.go", "zipf.go"} {
 		if !regexp.MustCompile(`/` + regexp.QuoteMeta(file) + `:\d+\)`).Match(out) {
 			t.Fatalf("the build printed no assembly for %s; nothing was checked", file)
 		}

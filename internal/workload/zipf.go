@@ -12,10 +12,10 @@ import (
 // keys across the keyspace with a hash.
 type Zipfian struct {
 	n         int64
-	theta     float64
 	alpha     float64
 	zetan     float64
 	eta       float64
+	half      float64 // 1 + 0.5^theta, the bound of key 1's draws
 	scrambled bool
 }
 
@@ -27,11 +27,12 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 	if n <= 0 {
 		panic("workload: zipfian needs positive n")
 	}
-	z := &Zipfian{n: n, theta: theta}
+	z := &Zipfian{n: n}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	zeta2 := zeta(2, theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.half = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -73,10 +74,13 @@ func (z *Zipfian) Next(rng *sim.RNG) int64 {
 	switch {
 	case uz < 1.0:
 		k = 0
-	case uz < 1.0+math.Pow(0.5, z.theta):
+	case uz < z.half:
 		k = 1
 	default:
-		k = int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		// The explicit conversion keeps the compiler from fusing the
+		// product and the difference into one FMA on architectures that
+		// have it, so every architecture rounds as amd64 does.
+		k = int64(float64(z.n) * math.Pow(float64(z.eta*u)-z.eta+1, z.alpha))
 	}
 	if k >= z.n {
 		k = z.n - 1
