@@ -202,6 +202,10 @@ type TrialOptions struct {
 	// to hold runThread to a reference interpreter.
 	thread func(v *sim.Env, st workload.Stream, mgr *vmm.Manager, barrier *sim.Barrier,
 		flushAt sim.Duration, readLat, writeLat *stats.LatencyRecorder, tr *telemetry.Tracer)
+	// aging, when set, runs as the aging daemon in place of the
+	// manager's own (vmm.Manager.SetAgingDaemon). Tests set it to hold
+	// the daemon to a reference.
+	aging func(v *sim.Env, mgr *vmm.Manager, cfg vmm.Config, requested *bool)
 }
 
 // FanoutMismatchError reports a system configured for one page-table
@@ -276,6 +280,9 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 
 	pol := mk()
 	mgr := vmm.New(sys.VMM, eng, memory, table, dev, pol, sysRNG.Stream(2))
+	if aging := opts.aging; aging != nil {
+		mgr.SetAgingDaemon(func(v *sim.Env, requested *bool) { aging(v, mgr, sys.VMM, requested) })
+	}
 
 	// Page-cache mode: file-backed mappings (the workload's file
 	// segments) get their own backing device and a writeback flusher. The

@@ -13,3 +13,11 @@ func RunTrialReference(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	opts.thread = referenceThread
 	return RunTrialOpts(w, mk, sys, workloadSeed, systemSeed, opts)
 }
+
+// RunTrialAgingReference is RunTrialOpts with the aging daemon run by
+// referenceAging.
+func RunTrialAgingReference(w workload.Workload, mk PolicyFactory, sys SystemConfig,
+	workloadSeed, systemSeed uint64, opts TrialOptions) (Metrics, error) {
+	opts.aging = referenceAging
+	return RunTrialOpts(w, mk, sys, workloadSeed, systemSeed, opts)
+}
