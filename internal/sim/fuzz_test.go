@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// Script op kinds. Charges, Cond waits and signals and the barrier run in
-// a suspended proc's steps; sleeps and yields hand it back to its
-// coroutine.
+// Script op kinds. A suspended proc runs every op in its steps, sleeps
+// and yields with TrySleepUntil and TryYield; a sleep or yield with an
+// odd argument hands it back to its coroutine instead.
 const (
 	opCharge = iota
 	opWait
@@ -129,8 +129,9 @@ func blockingOps(v *Env, ops []scriptOp, w *world, done func(int)) {
 	}
 }
 
-// suspendedOps runs the same ops as a suspended proc: charges, waits,
-// signals and the barrier in steps, sleeps and yields on the coroutine.
+// suspendedOps runs the same ops as a suspended proc: each in a step,
+// except that a sleep or yield with an odd argument runs on the
+// coroutine.
 func suspendedOps(v *Env, ops []scriptOp, w *world, done func(int)) {
 	pc := 0          // next op to start
 	parked := false  // ops[pc-1] parked the proc and completes on its continuation
@@ -152,8 +153,7 @@ func suspendedOps(v *Env, ops []scriptOp, w *world, done func(int)) {
 				return false
 			}
 			op := ops[pc]
-			switch op.kind {
-			case opSleep, opYield:
+			if (op.kind == opSleep || op.kind == opYield) && op.arg%2 == 1 {
 				return false
 			}
 			pc++
@@ -175,6 +175,15 @@ func suspendedOps(v *Env, ops []scriptOp, w *world, done func(int)) {
 				round = w.bar.Arrive(v.Engine())
 				arrived, parked = true, true
 				continue
+			case opSleep:
+				if !v.TrySleepUntil(v.Now() + Time(op.duration())) {
+					parked = true
+					return true
+				}
+			case opYield:
+				v.TryYield()
+				parked = true
+				return true
 			}
 			done(pc - 1)
 		}

@@ -203,6 +203,16 @@ func (v *Env) Sleep(d Duration) {
 
 // SleepUntil blocks the proc, not consuming CPU, until virtual time t.
 func (v *Env) SleepUntil(t Time) {
+	if !v.TrySleepUntil(t) {
+		v.proc.handoff()
+	}
+}
+
+// TrySleepUntil is the non-blocking form of SleepUntil. It reports true
+// when no event is due before t and time advanced to t in place.
+// Otherwise it parks the proc until t and returns false; the caller must
+// then return from its step, or call Suspend.
+func (v *Env) TrySleepUntil(t Time) bool {
 	e, p := v.engine, v.proc
 	if t < e.now {
 		t = e.now
@@ -212,20 +222,27 @@ func (v *Env) SleepUntil(t Time) {
 		// No event is due before the wakeup: skip the scheduler round trip
 		// and advance time in place (see Engine.canAdvanceTo).
 		e.now = t
-		return
+		return true
 	}
 	p.state = stateSleeping
 	e.pushProc(t, p)
-	p.handoff()
+	return false
 }
 
 // Yield reschedules the proc at the current time, letting any already
 // pending same-time events run first.
 func (v *Env) Yield() {
+	v.TryYield()
+	v.proc.handoff()
+}
+
+// TryYield is the non-blocking form of Yield: it parks the proc behind
+// the events already pending at the current time and returns at once.
+// The caller must then return from its step, or call Suspend.
+func (v *Env) TryYield() {
 	e, p := v.engine, v.proc
 	p.state = stateReady
 	e.pushProc(e.now, p)
-	p.handoff()
 }
 
 // Wait blocks the proc until c is signalled. The proc does not consume CPU
@@ -246,13 +263,14 @@ func (v *Env) TryWait(c *Cond) {
 }
 
 // Suspend continues the proc without its coroutine until step hands it
-// back. The proc must already be parked, by a TryCharge that returned
-// false or by TryWait. At each wakeup the engine charges the proc's
-// leftover CPU quanta and then runs step, inline on whichever stack
-// dispatches the wakeup, so a wakeup costs no coroutine switch. step must
-// not block: it parks the proc again with TryCharge or TryWait and
-// returns true, or returns false to resume the proc here, where Suspend
-// returns. A panic in step is re-raised from Suspend.
+// back. The proc must already be parked, by a TryCharge or TrySleepUntil
+// that returned false, or by TryWait or TryYield. At each wakeup the
+// engine charges the proc's leftover CPU quanta and then runs step,
+// inline on whichever stack dispatches the wakeup, so a wakeup costs no
+// coroutine switch. step must not block: it parks the proc again with
+// one of the Try calls and returns true, or returns false to resume the
+// proc here, where Suspend returns. A panic in step is re-raised from
+// Suspend.
 func (v *Env) Suspend(step func() bool) {
 	p := v.proc
 	if p.state == stateRunning {
