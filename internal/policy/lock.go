@@ -44,6 +44,42 @@ func (l *LRULock) Acquire(v *sim.Env) {
 	l.Acquisitions++
 }
 
+// LockWait is a TryAcquire caller's place in the lock's queue. The zero
+// value is not waiting.
+type LockWait struct {
+	waiting bool
+	since   sim.Time
+}
+
+// TryAcquire is the non-blocking form of Acquire. It reports true once
+// the caller holds the lock. Otherwise it parks the proc on the lock's
+// queue and returns false; the caller must return from its step (or
+// call Suspend) and, once continued, call TryAcquire again with the same
+// w. Acquisitions, Contended and WaitTime move exactly as under Acquire.
+func (l *LRULock) TryAcquire(v *sim.Env, w *LockWait) bool {
+	p := v.Proc()
+	if l.owner == p {
+		l.depth++
+		return true
+	}
+	if l.owner != nil {
+		if !w.waiting {
+			l.Contended++
+			w.waiting, w.since = true, v.Now()
+		}
+		v.TryWait(&l.cond)
+		return false
+	}
+	if w.waiting {
+		l.WaitTime += int64(v.Now() - w.since)
+		w.waiting = false
+	}
+	l.owner = p
+	l.depth = 1
+	l.Acquisitions++
+	return true
+}
+
 // Release drops one level of the lock; the outermost release wakes one
 // waiter.
 func (l *LRULock) Release(v *sim.Env) {
