@@ -17,6 +17,9 @@ import (
 // fifo evicts pages in fault-in order. It never scans accessed bits, so
 // its reclaim path costs no reverse-map walks at all.
 type fifo struct {
+	// FIFO has no background work: NoAging provides the no-op Age,
+	// AgeStep and NeedsAging.
+	mglrusim.NoAging
 	k     mglrusim.Kernel
 	queue *mglrusim.List
 	stats mglrusim.PolicyStats
@@ -53,12 +56,6 @@ func (f *fifo) Reclaim(v *mglrusim.Env, target int) int {
 	}
 	return evicted
 }
-
-// Age implements mglrusim.Policy: FIFO has no background work.
-func (f *fifo) Age(v *mglrusim.Env) bool { return false }
-
-// NeedsAging implements mglrusim.Policy.
-func (f *fifo) NeedsAging() bool { return false }
 
 // Stats implements mglrusim.Policy.
 func (f *fifo) Stats() mglrusim.PolicyStats { return f.stats }

@@ -42,6 +42,9 @@ func DefaultConfig() Config {
 
 // Clock is the two-list second-chance policy.
 type Clock struct {
+	// Clock has no background aging thread; all its scanning happens in
+	// the reclaim path.
+	policy.NoAging
 	cfg      Config
 	k        policy.Kernel
 	active   *mem.List
@@ -185,13 +188,6 @@ func (c *Clock) LockStats() (acquisitions, contended uint64, waitTime sim.Durati
 
 // DebugLock implements policy.LockDebugger.
 func (c *Clock) DebugLock() *policy.LRULock { return &c.lock }
-
-// Age implements policy.Policy. Clock has no background aging thread; all
-// its scanning happens in the reclaim path.
-func (c *Clock) Age(v *sim.Env) bool { return false }
-
-// NeedsAging implements policy.Policy.
-func (c *Clock) NeedsAging() bool { return false }
 
 // Stats implements policy.Policy.
 func (c *Clock) Stats() policy.Stats { return c.stats }

@@ -163,6 +163,12 @@ func (g *MGLRU) charge(v *sim.Env, d sim.Duration) {
 	v.Charge(d)
 }
 
+// tryCharge is charge's non-blocking form (sim.Env.TryCharge).
+func (g *MGLRU) tryCharge(v *sim.Env, d sim.Duration) bool {
+	g.stats.ScanCPU += d
+	return v.TryCharge(d)
+}
+
 // PageIn implements policy.Policy. Anonymous pages enter the youngest
 // generation. File-backed pages enter an old generation and are promoted
 // by tier as repeat FD accesses accumulate (§III-D), so single-use
@@ -382,7 +388,9 @@ scan:
 			}
 			if g.cfg.SpatialScan {
 				r := g.k.Table().RegionOf(vpn)
-				g.scanRegion(v, r, g.maxSeq)
+				cost, dense := g.harvest(r, g.maxSeq)
+				g.charge(v, cost)
+				g.noteDense(r, dense)
 				// Feedback into the aging walk's next filter.
 				if g.cfg.Mode == ModeBloom {
 					g.next.Add(uint64(r))

@@ -31,6 +31,7 @@ type AccessObserver interface {
 // takes the tail. Under strict demand paging at fixed capacity its fault
 // count equals the Mattson miss count exactly.
 type ExactLRU struct {
+	policy.NoAging
 	k     policy.Kernel
 	list  *mem.List
 	lock  policy.LRULock
@@ -90,12 +91,6 @@ func (l *ExactLRU) Reclaim(v *sim.Env, target int) int {
 	return evicted
 }
 
-// Age implements policy.Policy (no background work).
-func (l *ExactLRU) Age(v *sim.Env) bool { return false }
-
-// NeedsAging implements policy.Policy.
-func (l *ExactLRU) NeedsAging() bool { return false }
-
 // Stats implements policy.Policy.
 func (l *ExactLRU) Stats() policy.Stats { return l.stats }
 
@@ -114,6 +109,7 @@ const neverAgain = int(^uint(0) >> 1)
 // is only meaningful under the replay harness that feeds it Observe calls
 // in trace order.
 type OPT struct {
+	policy.NoAging
 	k    policy.Kernel
 	list *mem.List // membership only; selection uses the heap
 	lock policy.LRULock
@@ -224,12 +220,6 @@ func (o *OPT) pickVictim() mem.FrameID {
 	// reclaim still makes progress.
 	return o.list.Tail()
 }
-
-// Age implements policy.Policy (no background work).
-func (o *OPT) Age(v *sim.Env) bool { return false }
-
-// NeedsAging implements policy.Policy.
-func (o *OPT) NeedsAging() bool { return false }
 
 // Stats implements policy.Policy.
 func (o *OPT) Stats() policy.Stats { return o.stats }

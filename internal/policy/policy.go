@@ -64,11 +64,48 @@ type Policy interface {
 	// Age performs one background aging pass, charging its scan costs to
 	// the calling proc. It reports whether it did useful work.
 	Age(v *sim.Env) bool
+	// AgeStep is Age as a resumable walk, for a proc running suspended
+	// (sim.Env.Suspend). It runs the pass cursor w until the pass parks
+	// the proc, and then reports true; the caller calls it again with
+	// the same w once the proc is continued. It reports false when the
+	// pass is over, with its result in w.Worked. w starts zeroed.
+	AgeStep(v *sim.Env, w *AgeWalk) (parked bool)
 	// NeedsAging reports whether the aging task has pending work.
 	NeedsAging() bool
 	// Stats returns cumulative counters.
 	Stats() Stats
 }
+
+// AgeWalk is the cursor of a resumable aging pass (Policy.AgeStep).
+// Worked is the pass's result; the other fields are the policy's own
+// record of where the pass stopped and what it carries across a park.
+type AgeWalk struct {
+	Worked bool
+
+	At     uint8    // the pass's next point
+	Region int      // the region being walked
+	Target uint64   // the generation the pass promotes into
+	Before uint64   // the generation before the pass
+	Epoch  uint64   // the walk a waiting pass waits out
+	Dense  bool     // the scanned region is noted for the next pass
+	Lock   LockWait // the pass's place in the lock queue
+}
+
+// NoAging provides the Age, AgeStep and NeedsAging of a policy without
+// background aging; embed it.
+type NoAging struct{}
+
+// Age implements Policy: there is no pass to run.
+func (NoAging) Age(*sim.Env) bool { return false }
+
+// AgeStep implements Policy: the pass is over at once and did nothing.
+func (NoAging) AgeStep(_ *sim.Env, w *AgeWalk) bool {
+	w.Worked = false
+	return false
+}
+
+// NeedsAging implements Policy: there is never aging work.
+func (NoAging) NeedsAging() bool { return false }
 
 // Stats counts policy activity. All counters are cumulative per trial.
 type Stats struct {

@@ -15,6 +15,7 @@ import (
 
 // FIFO evicts pages strictly in fault-in order.
 type FIFO struct {
+	policy.NoAging
 	k     policy.Kernel
 	queue *mem.List
 	lock  policy.LRULock
@@ -65,12 +66,6 @@ func (f *FIFO) Reclaim(v *sim.Env, target int) int {
 	return evicted
 }
 
-// Age implements policy.Policy (no background work).
-func (f *FIFO) Age(v *sim.Env) bool { return false }
-
-// NeedsAging implements policy.Policy.
-func (f *FIFO) NeedsAging() bool { return false }
-
 // Stats implements policy.Policy.
 func (f *FIFO) Stats() policy.Stats { return f.stats }
 
@@ -81,6 +76,7 @@ func (f *FIFO) DebugLock() *policy.LRULock { return &f.lock }
 // zero-information baseline: any policy paying for access tracking
 // should beat it wherever recency carries signal.
 type Random struct {
+	policy.NoAging
 	k     policy.Kernel
 	pool  *mem.List
 	lock  policy.LRULock
@@ -143,12 +139,6 @@ func (r *Random) Reclaim(v *sim.Env, target int) int {
 	}
 	return evicted
 }
-
-// Age implements policy.Policy (no background work).
-func (r *Random) Age(v *sim.Env) bool { return false }
-
-// NeedsAging implements policy.Policy.
-func (r *Random) NeedsAging() bool { return false }
 
 // Stats implements policy.Policy.
 func (r *Random) Stats() policy.Stats { return r.stats }

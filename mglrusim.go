@@ -136,6 +136,13 @@ type PolicyCosts = policy.Costs
 // PolicyFactory builds a fresh policy instance for one trial.
 type PolicyFactory = core.PolicyFactory
 
+// NoAging provides the Age, AgeStep and NeedsAging of a policy without
+// background aging; embed it in a custom policy.
+type NoAging = policy.NoAging
+
+// AgeWalk is the cursor of a resumable aging pass (Policy.AgeStep).
+type AgeWalk = policy.AgeWalk
+
 // NewClock builds the classic two-list Clock-LRU with kernel-like
 // defaults.
 func NewClock() Policy { return clock.New(clock.DefaultConfig()) }

@@ -122,6 +122,7 @@ func TestPublicStats(t *testing.T) {
 // minimalPolicy checks the Policy interface is implementable from outside
 // (compile-time + runtime): random eviction.
 type minimalPolicy struct {
+	mglrusim.NoAging
 	k     mglrusim.Kernel
 	list  *mglrusim.List
 	stats mglrusim.PolicyStats
@@ -129,8 +130,6 @@ type minimalPolicy struct {
 
 func (p *minimalPolicy) Name() string                { return "random" }
 func (p *minimalPolicy) Attach(k mglrusim.Kernel)    { p.k = k; p.list = mglrusim.NewList(k.Mem(), 0) }
-func (p *minimalPolicy) Age(v *mglrusim.Env) bool    { return false }
-func (p *minimalPolicy) NeedsAging() bool            { return false }
 func (p *minimalPolicy) Stats() mglrusim.PolicyStats { return p.stats }
 
 func (p *minimalPolicy) PageIn(v *mglrusim.Env, f mglrusim.FrameID, sh *mglrusim.Shadow) {
