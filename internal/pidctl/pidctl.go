@@ -32,7 +32,11 @@ func (c *Controller) Update(err, dt float64) float64 {
 	if dt <= 0 {
 		panic("pidctl: non-positive timestep")
 	}
-	c.integral += err * dt
+	// The float64 conversions here and below keep each product from
+	// fusing with its sum into one FMA, which rounds once, on
+	// architectures that have it, so the tier decisions are the same on
+	// every architecture.
+	c.integral += float64(err * dt)
 	if c.IntegralClamp > 0 {
 		if c.integral > c.IntegralClamp {
 			c.integral = c.IntegralClamp
@@ -46,7 +50,7 @@ func (c *Controller) Update(err, dt float64) float64 {
 	}
 	c.prevErr = err
 	c.primed = true
-	return c.Kp*err + c.Ki*c.integral + c.Kd*deriv
+	return float64(c.Kp*err) + float64(c.Ki*c.integral) + float64(c.Kd*deriv)
 }
 
 // Reset clears accumulated state.

@@ -170,7 +170,10 @@ func (w *Serve) Threads(plan, trial *sim.RNG) []workload.Stream {
 		if span < 0 {
 			span = 0
 		}
-		start := planRNG.Float64() * span
+		// The float64 conversions in this file keep a product from fusing
+		// with a sum into one FMA on architectures that have it, so plans
+		// and think times are the same on every architecture.
+		start := float64(planRNG.Float64() * span)
 		b := burst{from: start, to: start + w.cfg.BurstLen,
 			hot: make([]int64, w.cfg.BurstHot)}
 		for j := range b.hot {
@@ -255,12 +258,12 @@ func (s *stream) pickObject(p float64, b *burst) int64 {
 // collapses it (arrival spike).
 func (s *stream) think(p float64, b *burst) sim.Duration {
 	d := float64(s.w.cfg.ThinkCPU) *
-		(1 + s.w.cfg.DiurnalAmp*math.Sin(2*math.Pi*p*s.w.cfg.DiurnalCycles))
+		(1 + float64(s.w.cfg.DiurnalAmp*math.Sin(2*math.Pi*p*s.w.cfg.DiurnalCycles)))
 	if b != nil {
 		d /= 8
 	}
 	// ±25% per-request jitter.
-	d *= 0.75 + 0.5*s.rng.Float64()
+	d *= 0.75 + float64(0.5*s.rng.Float64())
 	if d < 1 {
 		d = 1
 	}

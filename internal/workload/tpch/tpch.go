@@ -152,7 +152,9 @@ func (w *TPCH) Threads(plan, trial *sim.RNG) []workload.Stream {
 	plans := make([]queryPlan, w.cfg.Queries)
 	for q := range plans {
 		plans[q] = queryPlan{
-			frac:   0.55 + 0.45*plan.Float64(),
+			// The conversion keeps the product from fusing with the sum
+			// into one FMA on architectures that have it.
+			frac:   0.55 + float64(0.45*plan.Float64()),
 			probes: w.cfg.ProbesPerPage + plan.Intn(3),
 		}
 	}
