@@ -1,6 +1,7 @@
 package policytest
 
 import (
+	"reflect"
 	"testing"
 
 	"mglrusim/internal/mem"
@@ -23,6 +24,8 @@ import (
 //     the table equal frames in use.
 //   - Reclaim makes progress under pressure (a full memory with cold
 //     pages can always be shrunk).
+//   - A pass run through AgeStep, parking and continued inline, does
+//     what the blocking Age does.
 func Conformance(t *testing.T, name string, mk func() policy.Policy) {
 	ConformanceAt(t, name, pagetable.PTEsPerRegion, mk)
 }
@@ -37,6 +40,7 @@ func ConformanceAt(t *testing.T, name string, regionPTEs int, mk func() policy.P
 	t.Run(name+"/stats-monotone", func(t *testing.T) { conformMonotone(t, regionPTEs, mk) })
 	t.Run(name+"/residency", func(t *testing.T) { conformResidency(t, regionPTEs, mk) })
 	t.Run(name+"/mixed-file-anon", func(t *testing.T) { conformMixedFileAnon(t, regionPTEs, mk) })
+	t.Run(name+"/age-step", func(t *testing.T) { conformAgeStep(t, regionPTEs, mk) })
 }
 
 const (
@@ -280,4 +284,51 @@ func conformResidency(t *testing.T, regionPTEs int, mk func() policy.Policy) {
 			t.Errorf("frames in use %d != pages present %d", used, present)
 		}
 	})
+}
+
+// conformAgeStep: passes run through AgeStep as a suspended proc give the
+// same results, counters and evictions as passes run through Age. A
+// daemon charging next to the test proc makes the passes park.
+func conformAgeStep(t *testing.T, regionPTEs int, mk func() policy.Policy) {
+	type outcome struct {
+		Worked  []bool
+		Stats   policy.Stats
+		Evicted []pagetable.VPN
+		End     sim.Time
+	}
+	run := func(stepped bool) outcome {
+		k := confKernel(regionPTEs)
+		p := mk()
+		p.Attach(k)
+		var out outcome
+		e := sim.NewEngine(1)
+		e.Spawn("noise", true, func(v *sim.Env) {
+			for {
+				v.Charge(7 * sim.Microsecond)
+				v.Sleep(3 * sim.Microsecond)
+			}
+		})
+		e.Spawn("test", false, func(v *sim.Env) {
+			for r := 0; r < 4; r++ {
+				workPattern(t, v, k, p, confFrames*2, 1)
+				if !stepped {
+					out.Worked = append(out.Worked, p.Age(v))
+					continue
+				}
+				var w policy.AgeWalk
+				if p.AgeStep(v, &w) {
+					v.Suspend(func() bool { return p.AgeStep(v, &w) })
+				}
+				out.Worked = append(out.Worked, w.Worked)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out.Stats, out.Evicted, out.End = p.Stats(), k.EvictOrder, e.Now()
+		return out
+	}
+	if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
+		t.Errorf("passes through AgeStep differ from passes through Age:\n got %+v\nwant %+v", got, want)
+	}
 }
