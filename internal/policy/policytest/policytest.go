@@ -10,6 +10,7 @@ import (
 	"mglrusim/internal/policy"
 	"mglrusim/internal/rmap"
 	"mglrusim/internal/sim"
+	"mglrusim/internal/swap"
 )
 
 // Kernel is a test double for policy.Kernel.
@@ -31,6 +32,11 @@ type Kernel struct {
 	// bookkeeping completes (the replay harness hooks it to count faults
 	// and drive auditors).
 	OnEvict func(v *sim.Env, vpn pagetable.VPN, sh policy.Shadow)
+
+	// Dev, when set, receives a write of every evicted page, at the slot
+	// the eviction assigns it, before the frame is freed; the eviction
+	// parks for as long as the write does.
+	Dev swap.Device
 
 	nextSlot int32
 }
@@ -80,6 +86,11 @@ func (k *Kernel) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
 	k.T.Evict(vpn, k.nextSlot)
 	k.Shadows[vpn] = sh
 	k.EvictOrder = append(k.EvictOrder, vpn)
+	if k.Dev != nil {
+		if err := k.Dev.WritePage(v, k.nextSlot, int64(vpn), 0); err != nil {
+			panic(err)
+		}
+	}
 	fr.VPN = -1
 	k.M.Free(f)
 	if k.OnEvict != nil {
