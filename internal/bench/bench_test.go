@@ -370,10 +370,13 @@ func benchFileFaultPath(n int, reset func()) {
 	p.Attach(k)
 	eng := sim.NewEngine(4)
 	c := benchCache(k, eng)
+	// An eviction hook must not block, so a dirty page's write waits
+	// for its Reclaim to return.
+	var dirty []pagetable.VPN
 	k.OnEvict = func(v *sim.Env, vpn pagetable.VPN, sh policypkg.Shadow) {
 		c.RecordEviction(vpn, sh)
 		if c.ClearDirty(vpn) {
-			c.PageOut(v, vpn)
+			dirty = append(dirty, vpn)
 		}
 	}
 	pages := pagetable.VPN(k.T.Pages())
@@ -391,6 +394,10 @@ func benchFileFaultPath(n int, reset func()) {
 				if p.Reclaim(v, 1) == 0 {
 					p.Age(v)
 				}
+				for _, d := range dirty {
+					c.PageOut(v, d)
+				}
+				dirty = dirty[:0]
 			}
 			c.TakeShadow(vpn)
 			c.ReadPage(v, vpn)

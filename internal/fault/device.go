@@ -71,6 +71,10 @@ type Device struct {
 	maxWBackoff sim.Duration // write-retry backoff cap
 	stats       Stats
 
+	// writes recycles WritePage's cursors, which WriteStep hands on to
+	// the wrapped medium.
+	writes sim.Pool[swap.WriteWalk]
+
 	tr      *telemetry.Tracer
 	trTrack telemetry.TrackID // the fault plane's own lane
 }
@@ -124,12 +128,13 @@ func WrapFile(inner swap.Device, plan Plan, rng *sim.RNG) *Device {
 // wrapper is an overlay, not a medium).
 func (d *Device) Name() string { return d.inner.Name() }
 
-// stormDelay applies the active storm window to the calling proc: a full
-// stall blocks until the storm ends; a latency storm sleeps a jittered
-// extra delay.
-func (d *Device) stormDelay(v *sim.Env) {
+// stormDelay applies the active storm window to an I/O of the calling
+// proc: it reports whether the I/O has to wait, and until when — the
+// storm's end for a full stall, a jittered extra delay for a latency
+// storm.
+func (d *Device) stormDelay(v *sim.Env) (until sim.Time, delayed bool) {
 	if !d.plan.Storms.Enabled() {
-		return
+		return 0, false
 	}
 	active, stall, end, began, stallsBegan := d.storm.at(v.Now())
 	d.stats.Storms += began
@@ -138,15 +143,14 @@ func (d *Device) stormDelay(v *sim.Env) {
 		d.tr.Instant(d.trTrack, "storm-begin", int64(stallsBegan))
 	}
 	if !active {
-		return
+		return 0, false
 	}
 	if stall {
 		d.stats.StormDelay += int64(end - v.Now())
 		if d.tr != nil {
 			d.tr.Emit(d.trTrack, "storm-stall", v.Now(), int64(end-v.Now()), 0)
 		}
-		v.SleepUntil(end)
-		return
+		return end, true
 	}
 	extra := d.plan.Storms.ExtraLatency
 	if d.plan.Storms.Jitter > 0 {
@@ -156,7 +160,7 @@ func (d *Device) stormDelay(v *sim.Env) {
 		extra = 1
 	}
 	d.stats.StormDelay += extra
-	v.Sleep(extra)
+	return v.Now() + sim.Time(extra), true
 }
 
 // readFrom routes a read to the backing SSD when the slot's latest copy
@@ -175,7 +179,9 @@ func (d *Device) readFrom(v *sim.Env, slot swap.Slot, vpn int64, version uint32)
 // the way an uncorrectable media error fails a real swap-in, while the
 // page cache poisons the page and keeps running.
 func (d *Device) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	d.stormDelay(v)
+	if until, delayed := d.stormDelay(v); delayed {
+		v.SleepUntil(until)
+	}
 	cfg := d.plan.ReadErrors
 	backoff := cfg.Backoff
 	for attempt := 0; ; attempt++ {
@@ -219,62 +225,106 @@ func (d *Device) overLimit() bool {
 // or — when the compressed pool is over its mem limit — a writeback to
 // the backing SSD or a reclaim stall. Injected write errors are retried
 // with backoff; past the budget it returns a *HardError. With WriteErrors
-// unconfigured no coins are flipped.
+// unconfigured no coins are flipped. It runs the write of WriteStep,
+// continuing it inline (sim.Env.Suspend) if it parks.
 func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	d.stormDelay(v)
-	target := d.inner
-	if d.overLimit() {
-		if d.writtenBack != nil {
-			d.stats.WritebackPages++
-			d.writtenBack[slot] = struct{}{}
-			if d.tr != nil {
-				d.tr.Instant(d.trTrack, "pool-writeback", int64(slot))
-			}
-			target = d.backing
-		} else {
-			// No writeback target: the reclaiming thread stalls, as a real
-			// zram allocation does under mem_limit pressure, then the write
-			// proceeds (the pool over-commits rather than losing the page).
-			d.stats.PoolStalls++
-			if d.tr != nil {
-				d.tr.Instant(d.trTrack, "pool-stall", int64(slot))
-			}
-			if d.plan.ZRAM.StallDelay > 0 {
-				d.stats.PoolStallTime += d.plan.ZRAM.StallDelay
-				v.Sleep(d.plan.ZRAM.StallDelay)
-			}
-		}
+	w := d.writes.Get()
+	w.Slot, w.VPN, w.Version = slot, vpn, version
+	if d.WriteStep(v, w) {
+		v.Suspend(func() bool { return d.WriteStep(v, w) })
 	}
-	if target == d.inner && d.writtenBack != nil {
-		// A fresh write into the pool supersedes any written-back copy.
-		delete(d.writtenBack, slot)
-	}
-	cfg := d.plan.WriteErrors
-	backoff := cfg.Backoff
-	for attempt := 0; ; attempt++ {
-		if err := target.WritePage(v, slot, vpn, version); err != nil {
-			return err
-		}
-		if !cfg.Enabled() || !d.rng.Bool(cfg.Prob) {
-			return nil
-		}
-		d.stats.TransientWriteErrors++
-		if attempt >= cfg.MaxRetries {
-			d.stats.HardWriteErrors++
+	err := w.Err
+	d.writes.Put(w)
+	return err
+}
+
+// The points of a wrapped write, in WriteWalk.WrapAt. The wrapped
+// medium keeps its own point in WriteWalk.At.
+const (
+	wrapStart   = iota // the storm delay
+	wrapPool           // the pool's mem limit, once the storm delay is over
+	wrapWrite          // attempt w.Attempt on the target
+	wrapBackoff        // the backoff after a failed attempt is over
+)
+
+// WriteStep implements Device: WritePage as a resumable write.
+func (d *Device) WriteStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
+	for {
+		switch w.WrapAt {
+		case wrapStart:
+			w.WrapAt = wrapPool
+			if until, delayed := d.stormDelay(v); delayed && !v.TrySleepUntil(until) {
+				return true
+			}
+		case wrapPool:
+			w.WrapAt = wrapWrite
+			w.Backoff = d.plan.WriteErrors.Backoff
+			if d.overLimit() {
+				if d.writtenBack != nil {
+					d.stats.WritebackPages++
+					d.writtenBack[w.Slot] = struct{}{}
+					if d.tr != nil {
+						d.tr.Instant(d.trTrack, "pool-writeback", int64(w.Slot))
+					}
+					w.Backing = true
+					continue
+				}
+				// No writeback target: the reclaiming thread stalls, as a
+				// real zram allocation does under mem_limit pressure, then
+				// the write proceeds (the pool over-commits rather than
+				// losing the page).
+				d.stats.PoolStalls++
+				if d.tr != nil {
+					d.tr.Instant(d.trTrack, "pool-stall", int64(w.Slot))
+				}
+				if stall := d.plan.ZRAM.StallDelay; stall > 0 {
+					d.stats.PoolStallTime += stall
+					if !v.TrySleepUntil(v.Now() + sim.Time(stall)) {
+						return true
+					}
+				}
+			}
+			if d.writtenBack != nil {
+				// A fresh write into the pool supersedes any written-back
+				// copy.
+				delete(d.writtenBack, w.Slot)
+			}
+		case wrapWrite:
+			target := d.inner
+			if w.Backing {
+				target = d.backing
+			}
+			if target.WriteStep(v, w) {
+				return true
+			}
+			cfg := d.plan.WriteErrors
+			if w.Err != nil || !cfg.Enabled() || !d.rng.Bool(cfg.Prob) {
+				return false
+			}
+			d.stats.TransientWriteErrors++
+			if w.Attempt >= cfg.MaxRetries {
+				d.stats.HardWriteErrors++
+				if d.tr != nil {
+					d.tr.Instant(d.trTrack, "hard-write-error", int64(w.Slot))
+				}
+				w.Err = &HardError{Device: d.inner.Name(), Op: "write", Slot: w.Slot, Attempts: w.Attempt + 1}
+				return false
+			}
+			d.stats.WriteRetries++
 			if d.tr != nil {
-				d.tr.Instant(d.trTrack, "hard-write-error", int64(slot))
+				d.tr.Instant(d.trTrack, "write-retry", int64(w.Slot))
 			}
-			return &HardError{Device: d.inner.Name(), Op: "write", Slot: slot, Attempts: attempt + 1}
-		}
-		d.stats.WriteRetries++
-		if d.tr != nil {
-			d.tr.Instant(d.trTrack, "write-retry", int64(slot))
-		}
-		if backoff > 0 {
-			v.Sleep(backoff)
-			if backoff < d.maxWBackoff {
-				backoff *= 2
+			w.WrapAt = wrapBackoff
+			if w.Backoff > 0 && !v.TrySleepUntil(v.Now()+sim.Time(w.Backoff)) {
+				return true
 			}
+		case wrapBackoff:
+			if w.Backoff > 0 && w.Backoff < d.maxWBackoff {
+				w.Backoff *= 2
+			}
+			w.Attempt++
+			w.At, w.Stall = 0, telemetry.Span{}
+			w.WrapAt = wrapWrite
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 const (
 	writeReference = iota // blocking referenceWritePage
 	writeBlocking         // WritePage
+	writeStepped          // suspended, through WriteStep
 )
 
 // wrappedWriteScenario runs three procs on two CPUs that charge CPU,
@@ -40,6 +41,55 @@ func wrappedWriteScenario(mk func(e *sim.Engine, rng *sim.RNG) *Device, seed uin
 	for p := 0; p < 3; p++ {
 		prng := rng.Stream(uint64(p))
 		e.Spawn(fmt.Sprintf("w%d", p), false, func(v *sim.Env) {
+			if mode == writeStepped {
+				// The step charges and writes; a read hands the proc back
+				// to its coroutine.
+				const (
+					charge = iota
+					pick
+					write
+				)
+				at := charge
+				var w swap.WriteWalk
+				i := 0
+				step := func() bool {
+					for i < 80 {
+						switch at {
+						case charge:
+							at = pick
+							if !v.TryCharge(sim.Duration(1+prng.Intn(200)) * sim.Microsecond) {
+								return true
+							}
+						case pick:
+							slot := swap.Slot(prng.Intn(32))
+							if prng.Bool(0.2) {
+								w.Slot = slot
+								return false
+							}
+							w = swap.WriteWalk{Slot: slot, VPN: int64(p*100 + i), Version: 1}
+							at = write
+						case write:
+							if d.WriteStep(v, &w) {
+								return true
+							}
+							fmt.Fprintf(&log, "%d w%d write %d %v\n", e.Now(), p, w.Slot, w.Err)
+							i, at = i+1, charge
+						}
+					}
+					return false
+				}
+				for i < 80 {
+					if step() {
+						v.Suspend(step)
+					}
+					if i < 80 {
+						err := d.ReadPage(v, w.Slot, int64(w.Slot), 1)
+						fmt.Fprintf(&log, "%d w%d read %d %v\n", e.Now(), p, w.Slot, err)
+						i, at = i+1, charge
+					}
+				}
+				return
+			}
 			for i := 0; i < 80; i++ {
 				v.Charge(sim.Duration(1+prng.Intn(200)) * sim.Microsecond)
 				slot := swap.Slot(prng.Intn(32))
@@ -113,9 +163,10 @@ var wrappedDevices = []struct {
 }
 
 // TestWrappedWriteMatchesReference holds the wrapped writes to the
-// blocking reference writes: procs writing through WritePage log the
-// same writes, errors, times, stats, injections and trace as procs
-// writing through referenceWritePage, on every wrapped medium.
+// blocking reference writes: procs writing through WritePage, or running
+// suspended and writing through WriteStep, log the same writes, errors,
+// times, stats, injections and trace as procs writing through
+// referenceWritePage, on every wrapped medium.
 func TestWrappedWriteMatchesReference(t *testing.T) {
 	for _, dv := range wrappedDevices {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -131,8 +182,10 @@ func TestWrappedWriteMatchesReference(t *testing.T) {
 					t.Fatalf("%s seed %d: the scenario leaves %s at 0", dv.name, seed, stat)
 				}
 			}
-			if got := wrappedWriteScenario(dv.mk, seed, writeBlocking); got != want {
-				t.Errorf("%s seed %d: log differs from the reference writes':\n%s", dv.name, seed, firstDiff(got, want))
+			for _, mode := range []int{writeBlocking, writeStepped} {
+				if got := wrappedWriteScenario(dv.mk, seed, mode); got != want {
+					t.Errorf("%s seed %d mode %d: log differs from the reference writes':\n%s", dv.name, seed, mode, firstDiff(got, want))
+				}
 			}
 		}
 	}

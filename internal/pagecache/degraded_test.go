@@ -84,15 +84,28 @@ func (d *flakyDevice) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version ui
 }
 
 func (d *flakyDevice) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	if d.panicWrites[slot] {
-		panic(fmt.Errorf("flaky: scripted write panic on slot %d", slot))
+	w := swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	if d.WriteStep(v, &w) {
+		v.Suspend(func() bool { return d.WriteStep(v, &w) })
 	}
-	d.stats.Writes++
-	v.Sleep(d.lat)
-	if d.failWrites[slot] {
-		return fmt.Errorf("flaky: scripted write error on slot %d", slot)
+	return w.Err
+}
+
+func (d *flakyDevice) WriteStep(v *sim.Env, w *swap.WriteWalk) bool {
+	if w.At == 0 {
+		if d.panicWrites[w.Slot] {
+			panic(fmt.Errorf("flaky: scripted write panic on slot %d", w.Slot))
+		}
+		d.stats.Writes++
+		w.At = 1
+		if !v.TrySleepUntil(v.Now() + sim.Time(d.lat)) {
+			return true
+		}
 	}
-	return nil
+	if d.failWrites[w.Slot] {
+		w.Err = fmt.Errorf("flaky: scripted write error on slot %d", w.Slot)
+	}
+	return false
 }
 
 func (d *flakyDevice) PrefetchPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {

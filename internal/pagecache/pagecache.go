@@ -257,8 +257,19 @@ type Cache struct {
 
 	stats Stats
 
+	// outs recycles PageOut's cursors, which PageOutStep hands on to the
+	// device; extents is flushPass's extent list, reused across passes.
+	outs    sim.Pool[swap.WriteWalk]
+	extents []extent
+
 	tr      *telemetry.Tracer
 	trTrack telemetry.TrackID // the cache's own degradation-event lane
+}
+
+// extent is a run of dirty backing slots one flush pass writes back.
+type extent struct {
+	start swap.Slot
+	n     int
 }
 
 // New builds a Cache over the given file spans and spawns its flusher
@@ -527,31 +538,61 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 // before the flusher). The write is scheduled on the backing device with
 // its usual asynchronous semantics; the calling proc may block on
 // writeback backpressure. A write the device fails lands in the file's
-// error ledger instead of failing reclaim.
+// error ledger instead of failing reclaim. It runs the write of
+// PageOutStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
-	slot := c.mustSlot(vpn)
-	c.stats.PageOuts++
-	c.writePage(v, slot, int64(vpn))
+	w := c.outs.Get()
+	*w = c.BeginPageOut(vpn)
+	if c.PageOutStep(v, w) {
+		v.Suspend(func() bool { return c.PageOutStep(v, w) })
+	}
+	c.outs.Put(w)
 }
 
-// writePage issues one writeback write, absorbing a hard injected write
-// error into the owning file's errseq_t-style ledger: the error sequence
-// advances and the page counts as data-at-risk — its latest bytes never
-// reached the device, which is exactly what a later fsync on the file
-// would report. The page stays logically clean (its dirty bit was
-// already cleared by the caller), matching the kernel, which does not
-// re-dirty pages after failed writeback — so the dirty set, and with it
-// the hard throttle, still drains on an erroring device.
+// BeginPageOut accounts a page-out of vpn and returns the write that
+// PageOutStep runs.
+func (c *Cache) BeginPageOut(vpn pagetable.VPN) swap.WriteWalk {
+	c.stats.PageOuts++
+	return swap.WriteWalk{Slot: c.mustSlot(vpn), VPN: int64(vpn)}
+}
+
+// PageOutStep is PageOut as a resumable write, for a proc running
+// suspended: it runs the device write w (from BeginPageOut) until the
+// write parks the proc, and then reports true; the caller calls it again
+// with the same w once the proc is continued. It reports false when the
+// page-out is over.
+func (c *Cache) PageOutStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
+	if c.dev.WriteStep(v, w) {
+		return true
+	}
+	c.absorb(w.Slot, w.VPN, w.Err)
+	return false
+}
+
+// writePage issues one writeback write and absorbs its error.
 func (c *Cache) writePage(v *sim.Env, slot swap.Slot, vpn int64) {
-	if err := c.dev.WritePage(v, slot, vpn, 0); err != nil {
-		c.stats.WriteErrors++
-		c.stats.DataAtRisk++
-		fe := &c.fileErrs[c.fileIndexOf(slot)]
-		fe.ErrSeq++
-		fe.DataAtRisk++
-		if c.tr != nil {
-			c.tr.Instant(c.trTrack, "writeback-error", vpn)
-		}
+	c.absorb(slot, vpn, c.dev.WritePage(v, slot, vpn, 0))
+}
+
+// absorb takes a writeback write's hard injected error into the owning
+// file's errseq_t-style ledger: the error sequence advances and the page
+// counts as data-at-risk — its latest bytes never reached the device,
+// which is exactly what a later fsync on the file would report. The page
+// stays logically clean (its dirty bit was already cleared by the
+// caller), matching the kernel, which does not re-dirty pages after
+// failed writeback — so the dirty set, and with it the hard throttle,
+// still drains on an erroring device.
+func (c *Cache) absorb(slot swap.Slot, vpn int64, err error) {
+	if err == nil {
+		return
+	}
+	c.stats.WriteErrors++
+	c.stats.DataAtRisk++
+	fe := &c.fileErrs[c.fileIndexOf(slot)]
+	fe.ErrSeq++
+	fe.DataAtRisk++
+	if c.tr != nil {
+		c.tr.Instant(c.trTrack, "writeback-error", vpn)
 	}
 }
 
@@ -670,11 +711,10 @@ func (c *Cache) flushLoop(v *sim.Env) {
 // issues (reclaim sees it clean and skips its own pageout).
 func (c *Cache) flushPass(v *sim.Env) {
 	c.stats.FlushPasses++
-	type extent struct {
-		start swap.Slot
-		n     int
-	}
-	var extents []extent
+	// Take the list while the pass runs: another pass may start while
+	// this one waits on the device.
+	extents := c.extents[:0]
+	c.extents = nil
 	for s := 0; s < c.totalPages; {
 		word := c.dirty[s/64] >> (uint(s) % 64)
 		if word == 0 {
@@ -710,6 +750,7 @@ func (c *Cache) flushPass(v *sim.Env) {
 			c.writePage(v, slot, int64(c.vpnOf(slot)))
 		}
 	}
+	c.extents = extents
 }
 
 // FlushAll synchronously runs flush passes until the dirty set is empty,

@@ -11,6 +11,7 @@ package clock
 
 import (
 	"mglrusim/internal/mem"
+	"mglrusim/internal/pagetable"
 	"mglrusim/internal/policy"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/telemetry"
@@ -51,6 +52,9 @@ type Clock struct {
 	inactive *mem.List
 	lock     policy.LRULock
 	stats    policy.Stats
+	// walks recycles Reclaim's cursors, which reclaimStep hands on to
+	// the kernel's EvictStep.
+	walks sim.Pool[reclaimWalk]
 }
 
 // New creates a Clock policy.
@@ -109,76 +113,182 @@ func (c *Clock) charge(v *sim.Env, d sim.Duration) {
 	v.Charge(d)
 }
 
+// tryCharge is charge's non-blocking form (sim.Env.TryCharge).
+func (c *Clock) tryCharge(v *sim.Env, d sim.Duration) bool {
+	c.stats.ScanCPU += d
+	return v.TryCharge(d)
+}
+
 // inactiveIsLow reports whether the balance scan should demote active
 // pages.
 func (c *Clock) inactiveIsLow() bool {
 	return c.inactive.Len()*c.cfg.InactiveRatio < c.active.Len()
 }
 
-// balance scans the tail of the active list, demoting cold pages to the
-// inactive list and rotating hot ones — the "periodic scan of the bottom
-// of the active list". Each examined page costs one rmap walk.
-func (c *Clock) balance(v *sim.Env, wanted int) {
-	budget := wanted * c.cfg.ScanBatch
-	for c.inactiveIsLow() && budget > 0 && !c.active.Empty() {
-		// Isolate under the lruvec lock, walk the rmap without it, then
-		// re-take it to apply the decision.
-		c.lock.Acquire(v)
-		f := c.active.PopTail()
-		c.lock.Release(v)
-		vpn, cost := c.k.RMap().Walk(f)
-		c.stats.RMapWalks++
-		c.charge(v, cost)
-		budget--
-		c.lock.Acquire(v)
-		if c.k.Table().TestAndClearAccessed(vpn) {
-			c.active.PushHead(f)
-			c.stats.Rotated++
-		} else {
-			c.inactive.PushHead(f)
-			c.stats.Demoted++
-		}
-		c.charge(v, c.cfg.Costs.PageOp)
-		c.lock.Release(v)
-	}
-}
-
-// Reclaim implements policy.Policy: second-chance shrink of the inactive
-// list tail.
+// Reclaim implements policy.Policy: a balance scan of the bottom of the
+// active list, then a second-chance shrink of the inactive list tail. It
+// runs the pass of reclaimStep, continuing it inline (sim.Env.Suspend)
+// if it parks.
 func (c *Clock) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	c.balance(v, target)
-	evicted := 0
-	// Bound the pass: examine at most the current inactive population
-	// plus a batch allowance, so a fully-hot list terminates.
-	budget := c.inactive.Len() + c.cfg.ScanBatch
-	for evicted < target && budget > 0 && !c.inactive.Empty() {
-		c.lock.Acquire(v)
-		f := c.inactive.PopTail()
-		c.lock.Release(v)
-		if f == mem.NilFrame {
-			break
-		}
-		budget--
-		vpn, cost := c.k.RMap().Walk(f)
-		c.stats.RMapWalks++
-		c.charge(v, cost)
-		if c.k.Table().TestAndClearAccessed(vpn) {
-			// Second chance: referenced while inactive -> activate.
-			c.lock.Acquire(v)
-			c.active.PushHead(f)
-			c.charge(v, c.cfg.Costs.PageOp)
+	w := c.walks.Get()
+	c.startReclaim(w, target)
+	if c.reclaimStep(v, w) {
+		v.Suspend(func() bool { return c.reclaimStep(v, w) })
+	}
+	evicted := w.evicted
+	c.walks.Put(w)
+	return evicted
+}
+
+// startReclaim sets the zeroed cursor w up for a pass that evicts up to
+// target pages.
+func (c *Clock) startReclaim(w *reclaimWalk, target int) {
+	w.target = target
+	w.budget = target * c.cfg.ScanBatch
+}
+
+// reclaimWalk is the cursor of an eviction pass.
+type reclaimWalk struct {
+	at      uint8
+	target  int
+	evicted int
+	budget  int           // pages the current scan may still examine
+	f       mem.FrameID   // the isolated page
+	vpn     pagetable.VPN // its page-table entry
+	lock    policy.LockWait
+	evict   policy.EvictWalk // the page's eviction
+}
+
+// The points of an eviction pass, in reclaimWalk.at. Each is where the
+// pass goes on after a park, so state is read at the same point relative
+// to each park as in a blocking pass.
+const (
+	balanceScan     = iota // the balance scan's loop test
+	balanceLock            // take the lock to isolate an active page
+	balanceWalked          // the page's rmap walk is charged
+	balanceApply           // take the lock to demote or rotate it
+	balanceApplied         // the move's charge is over
+	shrinkScan             // the shrink's loop test
+	shrinkLock             // take the lock to isolate an inactive page
+	shrinkWalked           // the page's rmap walk is charged
+	shrinkActivate         // take the lock to activate a referenced page
+	shrinkActivated        // the activation's charge is over
+	shrinkEvict            // the page's eviction is in flight
+)
+
+// reclaimStep runs the pass w until it parks the proc, and then reports
+// true; it reports false when the pass is over, with its result in
+// w.evicted.
+//
+// The balance scan examines the tail of the active list, demoting cold
+// pages to the inactive list and rotating hot ones — the "periodic scan
+// of the bottom of the active list". Each examined page costs one rmap
+// walk: isolate under the lruvec lock, walk the rmap without it, then
+// re-take it to apply the decision.
+func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
+	for {
+		switch w.at {
+		case balanceScan:
+			w.at = balanceLock
+			if !c.inactiveIsLow() || w.budget <= 0 || c.active.Empty() {
+				// Bound the shrink: examine at most the current inactive
+				// population plus a batch allowance, so a fully-hot list
+				// terminates.
+				w.budget = c.inactive.Len() + c.cfg.ScanBatch
+				w.at = shrinkScan
+			}
+		case balanceLock:
+			if !c.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			w.f = c.active.PopTail()
+			c.lock.Release(v)
+			if c.walk(v, w, balanceWalked) {
+				return true
+			}
+		case balanceWalked:
+			w.budget--
+			w.at = balanceApply
+		case balanceApply:
+			if !c.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			if c.k.Table().TestAndClearAccessed(w.vpn) {
+				c.active.PushHead(w.f)
+				c.stats.Rotated++
+			} else {
+				c.inactive.PushHead(w.f)
+				c.stats.Demoted++
+			}
+			w.at = balanceApplied
+			if !c.tryCharge(v, c.cfg.Costs.PageOp) {
+				return true
+			}
+		case balanceApplied:
+			c.lock.Release(v)
+			w.at = balanceScan
+		case shrinkScan:
+			if w.evicted >= w.target || w.budget <= 0 || c.inactive.Empty() {
+				return false
+			}
+			w.at = shrinkLock
+		case shrinkLock:
+			if !c.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			w.f = c.inactive.PopTail()
+			c.lock.Release(v)
+			if w.f == mem.NilFrame {
+				return false
+			}
+			w.budget--
+			if c.walk(v, w, shrinkWalked) {
+				return true
+			}
+		case shrinkWalked:
+			if c.k.Table().TestAndClearAccessed(w.vpn) {
+				// Second chance: referenced while inactive -> activate.
+				w.at = shrinkActivate
+				continue
+			}
+			c.stats.Evicted++
+			w.evict = policy.EvictWalk{F: w.f, Shadow: policy.Shadow{EvictedAt: v.Now()}}
+			w.at = shrinkEvict
+		case shrinkActivate:
+			if !c.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			c.active.PushHead(w.f)
+			w.at = shrinkActivated
+			if !c.tryCharge(v, c.cfg.Costs.PageOp) {
+				return true
+			}
+		case shrinkActivated:
 			c.lock.Release(v)
 			c.stats.Promoted++
-			continue
+			w.at = shrinkScan
+		case shrinkEvict:
+			if c.k.EvictStep(v, &w.evict) {
+				return true
+			}
+			w.evicted++
+			w.at = shrinkScan
 		}
-		c.stats.Evicted++
-		c.k.EvictPage(v, f, policy.Shadow{EvictedAt: v.Now()})
-		evicted++
 	}
-	return evicted
+}
+
+// walk resolves the isolated page's PTE through the reverse map and
+// charges the walk, going on at next. It reports whether the charge
+// parked the proc.
+func (c *Clock) walk(v *sim.Env, w *reclaimWalk, next uint8) (parked bool) {
+	vpn, cost := c.k.RMap().Walk(w.f)
+	c.stats.RMapWalks++
+	w.vpn = vpn
+	w.at = next
+	return !c.tryCharge(v, cost)
 }
 
 // LockStats exposes lruvec-lock contention counters.

@@ -17,6 +17,7 @@ import (
 const (
 	reclaimReference = iota // blocking referenceReclaim
 	reclaimBlocking         // Reclaim
+	reclaimStepped          // Reclaim, and kswapd suspended, through reclaimStep
 )
 
 // reclaimScenario runs app procs that fault, touch and reclaim directly
@@ -87,6 +88,32 @@ func reclaimScenario(seed uint64, dev string, mode int) string {
 		})
 	}
 	e.Spawn("kswapd", true, func(v *sim.Env) {
+		if mode == reclaimStepped {
+			var w reclaimWalk
+			walking := false
+			step := func() bool {
+				for {
+					if walking {
+						if c.reclaimStep(v, &w) {
+							return true
+						}
+						logf("kswapd reclaim %d", w.evicted)
+						walking = false
+						continue
+					}
+					if k.M.FreePages() < frames/8 {
+						w, walking = reclaimWalk{}, true
+						c.startReclaim(&w, 8)
+						continue
+					}
+					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {
+						return true
+					}
+				}
+			}
+			step()
+			v.Suspend(step)
+		}
 		for {
 			if k.M.FreePages() < frames/8 {
 				logf("kswapd reclaim %d", reclaim(v, 8))
@@ -115,7 +142,8 @@ func reclaimScenario(seed uint64, dev string, mode int) string {
 
 // TestReclaimMatchesReference holds Clock's eviction pass, balance scan
 // included, to the blocking reference pass: procs reclaiming through
-// Reclaim log the same reclaims, faults, times and final state (shadows
+// Reclaim, with kswapd blocking or running suspended through
+// reclaimStep, log the same reclaims, faults, times and final state (shadows
 // included) as procs reclaiming through referenceReclaim, with evictions
 // that never park, that stall on an SSD and that charge ZRAM.
 func TestReclaimMatchesReference(t *testing.T) {
@@ -130,8 +158,10 @@ func TestReclaimMatchesReference(t *testing.T) {
 					t.Fatalf("%s seed %d: the scenario leaves %s at 0", dev, seed, stat)
 				}
 			}
-			if got := reclaimScenario(seed, dev, reclaimBlocking); got != want {
-				t.Errorf("%s seed %d: log differs from the reference pass's:\n%s", dev, seed, firstDiff(got, want))
+			for _, mode := range []int{reclaimBlocking, reclaimStepped} {
+				if got := reclaimScenario(seed, dev, mode); got != want {
+					t.Errorf("%s seed %d mode %d: log differs from the reference pass's:\n%s", dev, seed, mode, firstDiff(got, want))
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"mglrusim/internal/bloom"
 	"mglrusim/internal/mem"
+	"mglrusim/internal/pagetable"
 	"mglrusim/internal/pidctl"
 	"mglrusim/internal/policy"
 	"mglrusim/internal/sim"
@@ -35,6 +36,10 @@ type MGLRU struct {
 	// lock is the lruvec lock: list mutations from the fault path, the
 	// eviction path, and the aging walk all serialize on it.
 	lock policy.LRULock
+
+	// walks recycles Reclaim's cursors, which reclaimStep hands on to the
+	// kernel's EvictStep.
+	walks sim.Pool[reclaimWalk]
 
 	// aging guards the walk itself: only one max_seq increment can be in
 	// flight (the kernel's try_to_inc_max_seq serialization). Concurrent
@@ -283,103 +288,179 @@ func (g *MGLRU) NeedsAging() bool {
 // generation, walking the reverse map to confirm each candidate's
 // accessed bit, promoting accessed pages to the youngest generation and —
 // unlike Clock — opportunistically scanning the surrounding PTEs (§III-C).
+//
+// Reclaim runs the pass of reclaimStep, continuing it inline
+// (sim.Env.Suspend) if it parks.
 func (g *MGLRU) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	evicted := 0
-	budget := target*g.cfg.ScanBatch + g.cfg.ScanBatch
+	w := g.walks.Get()
+	g.startReclaim(w, target)
+	if g.reclaimStep(v, w) {
+		v.Suspend(func() bool { return g.reclaimStep(v, w) })
+	}
+	evicted := w.evicted
+	g.walks.Put(w)
+	return evicted
+}
 
-	allowTier := g.cfg.Tiers - 1
+// startReclaim sets the zeroed cursor w up for a pass that evicts up to
+// target pages.
+func (g *MGLRU) startReclaim(w *reclaimWalk, target int) {
+	w.target = target
+	w.budget = target*g.cfg.ScanBatch + g.cfg.ScanBatch
+	w.allowTier = g.cfg.Tiers - 1
 	if g.cfg.TierProtection && g.cfg.Tiers > 1 {
-		allowTier = g.tiers.ProtectedTier(1)
+		w.allowTier = g.tiers.ProtectedTier(1)
 	}
 	// One file-gain decision per reclaim pass (a control period). When
 	// active, eviction pressure is steered onto the anon side — the
 	// kernel's get_type_to_scan picking the type whose evictions are NOT
-	// coming back; the progress fallback below keeps reclaim live when
-	// the tail holds nothing but file pages.
-	protectFile := false
+	// coming back; the progress fallback keeps reclaim live when the tail
+	// holds nothing but file pages.
 	if g.fileGain != nil {
-		protectFile = g.fileGain.ProtectFile(1)
+		w.protectFile = g.fileGain.ProtectFile(1)
 	}
+}
+
+// reclaimWalk is the cursor of an eviction pass.
+type reclaimWalk struct {
+	at          uint8
+	target      int
+	evicted     int
+	budget      int  // candidates the pass may still isolate
+	allowTier   int  // the highest tier the pass may evict from
+	protectFile bool // the file shield is up
 	// shielded counts candidates tier protection or the file shield
-	// turned away this pass — the progress-guarantee fallback below keys
-	// off it.
-	shielded := 0
+	// turned away this pass — the progress guarantee keys off it.
+	shielded int
+	f        mem.FrameID   // the isolated candidate
+	vpn      pagetable.VPN // its page
+	region   int           // the region the spatial scan harvested
+	dense    bool          // that region is noted for the next walk
+	lock     policy.LockWait
+	age      policy.AgeWalk   // the walk the pass started
+	evict    policy.EvictWalk // the candidate's eviction
+}
 
-scan:
-	for evicted < target && budget > 0 {
-		g.lock.Acquire(v)
-		g.advanceMinSeq()
-		oldest := g.genList(g.minSeq)
-		if oldest.Empty() && g.k.Table().PresentPages() == 0 {
-			g.lock.Release(v)
-			break // nothing resident anywhere
-		}
-		if oldest.Empty() {
-			// Everything younger is protected by the generation window;
-			// force aging to open a new youngest generation, then retry.
-			g.lock.Release(v)
-			g.k.RequestAging()
-			if !g.Age(v) {
-				break
+// The points of an eviction pass, in reclaimWalk.at. Each is where the
+// pass goes on after a park, so state is read at the same point relative
+// to each park as in a blocking pass.
+const (
+	reclaimScan     = iota // the loop test: isolate another candidate?
+	reclaimEnd             // the pass is over, unless it retries unshielded
+	reclaimLock            // take the lock to isolate a candidate
+	reclaimAge             // a walk to open a generation; none ends the pass
+	reclaimAgeAny          // a walk to fill the generation window
+	reclaimShielded        // a protected candidate's rotation is charged
+	reclaimWalked          // the candidate's rmap walk is charged
+	reclaimRotate          // take the lock to rotate an accessed candidate
+	reclaimSpatial         // the spatial scan around it is charged
+	reclaimEvict           // the candidate's eviction is in flight
+)
+
+// reclaimStep runs the pass w until it parks the proc, and then reports
+// true; it reports false when the pass is over, with its result in
+// w.evicted.
+func (g *MGLRU) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
+	for {
+		switch w.at {
+		case reclaimScan:
+			w.at = reclaimLock
+			if w.evicted >= w.target || w.budget <= 0 {
+				w.at = reclaimEnd
 			}
-			continue
-		}
-		if g.nrGens() < g.cfg.MinGens {
-			g.lock.Release(v)
-			g.k.RequestAging()
-			g.Age(v)
-			continue
-		}
-
-		// Isolate the candidate under the lock, so concurrent
-		// aging/reclaim passes cannot move it.
-		f := oldest.PopTail()
-		fr := g.k.Mem().Frame(f)
-		g.trackRemove(fr.Gen, fr)
-		budget--
-
-		// Tier protection: protected pages are moved to the youngest
-		// generation instead of being considered for eviction (the
-		// kernel's folio_inc_gen in sort_folio) — one rotation buys a
-		// full generation window of protection, instead of the page
-		// reappearing as a candidate on the very next pass.
-		if int(fr.Tier) > allowTier ||
-			(protectFile && fr.Flags&mem.FlagFile != 0) {
-			shielded++
-			if int(fr.Tier) <= allowTier {
-				g.stats.FileProtected++
+		case reclaimEnd:
+			// Progress guarantee: a whole pass that evicts nothing while
+			// protection turned candidates away means the oldest
+			// generations hold only protected pages (hot-tier file pages
+			// under refault imbalance). Memory pressure outranks tier
+			// balance — the kernel's equivalent is scan-priority
+			// escalation ignoring protection — so drop every shield,
+			// refill the scan budget, and retry once.
+			if w.evicted == 0 && w.shielded > 0 && (w.allowTier < g.cfg.Tiers-1 || w.protectFile) {
+				w.allowTier = g.cfg.Tiers - 1
+				w.protectFile = false
+				w.shielded = 0
+				w.budget = w.target*g.cfg.ScanBatch + g.cfg.ScanBatch
+				w.at = reclaimScan
+				continue
 			}
-			fr.Gen = g.maxSeq
-			// Protection is a second chance, not a grant of tenure: the
-			// kernel's folio_inc_gen clears LRU_REFS_MASK, so the page
-			// must re-earn its tier through fresh accesses before the
-			// next time it reaches the tail.
-			fr.Refs = 0
-			fr.Tier = 0
-			g.genList(fr.Gen).PushHead(f)
-			g.trackAdd(fr.Gen, fr)
-			g.stats.TierProtected++
-			g.charge(v, g.cfg.Costs.PageOp)
+			return false
+		case reclaimLock:
+			if !g.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			g.advanceMinSeq()
+			oldest := g.genList(g.minSeq)
+			if oldest.Empty() && g.k.Table().PresentPages() == 0 {
+				g.lock.Release(v)
+				w.at = reclaimEnd // nothing resident anywhere
+				continue
+			}
+			if oldest.Empty() || g.nrGens() < g.cfg.MinGens {
+				// An empty oldest generation means everything younger is
+				// protected by the generation window: force aging to open
+				// a new youngest generation, then retry, or end the pass
+				// if none opens. A short window is filled the same way.
+				g.lock.Release(v)
+				g.k.RequestAging()
+				w.at = reclaimAgeAny
+				if oldest.Empty() {
+					w.at = reclaimAge
+				}
+				w.age = policy.AgeWalk{}
+				continue
+			}
+			if g.isolate(v, w, oldest) {
+				return true
+			}
+		case reclaimAge, reclaimAgeAny:
+			if g.AgeStep(v, &w.age) {
+				return true
+			}
+			if w.at == reclaimAge && !w.age.Worked {
+				w.at = reclaimEnd
+				continue
+			}
+			w.at = reclaimScan
+		case reclaimShielded:
 			g.lock.Release(v)
-			continue
-		}
-		g.lock.Release(v)
-
-		// The reverse-map confirmation happens without the lock, as in
-		// the kernel (the folio is isolated).
-		vpn, cost := g.k.RMap().Walk(f)
-		g.stats.RMapWalks++
-		g.charge(v, cost+g.cfg.Costs.PageOp)
-
-		if g.k.Table().TestAndClearAccessed(vpn) {
+			w.at = reclaimScan
+		case reclaimWalked:
+			if g.k.Table().TestAndClearAccessed(w.vpn) {
+				w.at = reclaimRotate
+				continue
+			}
+			// Cold: evict. The frame is already isolated; eviction I/O
+			// happens without the lock.
+			fr := g.k.Mem().Frame(w.f)
+			sh := policy.Shadow{Gen: fr.Gen, Tier: fr.Tier, Refs: fr.Refs, EvictedAt: v.Now()}
+			if g.cfg.TierProtection {
+				g.tiers.RecordEviction(int(fr.Tier))
+			}
+			if g.fileGain != nil {
+				g.fileGain.RecordEviction(fr.Flags&mem.FlagFile != 0)
+			}
+			g.stats.Evicted++
+			w.evict = policy.EvictWalk{F: w.f, Shadow: sh}
+			w.at = reclaimEvict
+		case reclaimEvict:
+			if g.k.EvictStep(v, &w.evict) {
+				return true
+			}
+			w.evicted++
+			w.at = reclaimScan
+		case reclaimRotate:
 			// Accessed since last scan: promote to youngest and exploit
 			// spatial locality around the hot PTE.
-			g.lock.Acquire(v)
+			if !g.lock.TryAcquire(v, &w.lock) {
+				return true
+			}
+			fr := g.k.Mem().Frame(w.f)
 			fr.Gen = g.maxSeq
-			g.genList(fr.Gen).PushHead(f)
+			g.genList(fr.Gen).PushHead(w.f)
 			g.trackAdd(fr.Gen, fr)
 			g.stats.Rotated++
 			if fr.Flags&mem.FlagFile != 0 && fr.Refs < 255 {
@@ -387,46 +468,74 @@ scan:
 				fr.Tier = g.tierOf(fr.Refs)
 			}
 			if g.cfg.SpatialScan {
-				r := g.k.Table().RegionOf(vpn)
-				cost, dense := g.harvest(r, g.maxSeq)
-				g.charge(v, cost)
-				g.noteDense(r, dense)
-				// Feedback into the aging walk's next filter.
-				if g.cfg.Mode == ModeBloom {
-					g.next.Add(uint64(r))
+				w.region = g.k.Table().RegionOf(w.vpn)
+				cost, dense := g.harvest(w.region, g.maxSeq)
+				w.dense = dense
+				w.at = reclaimSpatial
+				if !g.tryCharge(v, cost) {
+					return true
 				}
+				continue
 			}
 			g.lock.Release(v)
-			continue
+			w.at = reclaimScan
+		case reclaimSpatial:
+			g.noteDense(w.region, w.dense)
+			// Feedback into the aging walk's next filter.
+			if g.cfg.Mode == ModeBloom {
+				g.next.Add(uint64(w.region))
+			}
+			g.lock.Release(v)
+			w.at = reclaimScan
 		}
+	}
+}
 
-		// Cold: evict. The frame is already isolated; eviction I/O
-		// happens without the lock.
-		sh := policy.Shadow{Gen: fr.Gen, Tier: fr.Tier, Refs: fr.Refs, EvictedAt: v.Now()}
-		if g.cfg.TierProtection {
-			g.tiers.RecordEviction(int(fr.Tier))
+// isolate takes the tail of the oldest generation as the pass's
+// candidate, under the lock, so concurrent aging and reclaim passes
+// cannot move it. A protected candidate is rotated instead, the lock
+// held until its charge is over; any other is released to the rmap walk.
+// It reports whether the charge parked the proc.
+func (g *MGLRU) isolate(v *sim.Env, w *reclaimWalk, oldest *mem.List) (parked bool) {
+	f := oldest.PopTail()
+	fr := g.k.Mem().Frame(f)
+	g.trackRemove(fr.Gen, fr)
+	w.budget--
+	w.f = f
+
+	// Tier protection: protected pages are moved to the youngest
+	// generation instead of being considered for eviction (the kernel's
+	// folio_inc_gen in sort_folio) — one rotation buys a full generation
+	// window of protection, instead of the page reappearing as a
+	// candidate on the very next pass.
+	if int(fr.Tier) > w.allowTier ||
+		(w.protectFile && fr.Flags&mem.FlagFile != 0) {
+		w.shielded++
+		if int(fr.Tier) <= w.allowTier {
+			g.stats.FileProtected++
 		}
-		if g.fileGain != nil {
-			g.fileGain.RecordEviction(fr.Flags&mem.FlagFile != 0)
-		}
-		g.stats.Evicted++
-		g.k.EvictPage(v, f, sh)
-		evicted++
+		fr.Gen = g.maxSeq
+		// Protection is a second chance, not a grant of tenure: the
+		// kernel's folio_inc_gen clears LRU_REFS_MASK, so the page must
+		// re-earn its tier through fresh accesses before the next time it
+		// reaches the tail.
+		fr.Refs = 0
+		fr.Tier = 0
+		g.genList(fr.Gen).PushHead(f)
+		g.trackAdd(fr.Gen, fr)
+		g.stats.TierProtected++
+		w.at = reclaimShielded
+		return !g.tryCharge(v, g.cfg.Costs.PageOp)
 	}
-	// Progress guarantee: a whole pass that evicts nothing while
-	// protection turned candidates away means the oldest generations hold
-	// only protected pages (hot-tier file pages under refault imbalance).
-	// Memory pressure outranks tier balance — the kernel's equivalent is
-	// scan-priority escalation ignoring protection — so drop every shield,
-	// refill the scan budget, and retry once.
-	if evicted == 0 && shielded > 0 && (allowTier < g.cfg.Tiers-1 || protectFile) {
-		allowTier = g.cfg.Tiers - 1
-		protectFile = false
-		shielded = 0
-		budget = target*g.cfg.ScanBatch + g.cfg.ScanBatch
-		goto scan
-	}
-	return evicted
+	g.lock.Release(v)
+
+	// The reverse-map confirmation happens without the lock, as in the
+	// kernel (the folio is isolated).
+	vpn, cost := g.k.RMap().Walk(f)
+	g.stats.RMapWalks++
+	w.vpn = vpn
+	w.at = reclaimWalked
+	return !g.tryCharge(v, cost+g.cfg.Costs.PageOp)
 }
 
 // LockStats exposes lruvec-lock contention counters.

@@ -17,6 +17,7 @@ import (
 const (
 	reclaimReference = iota // blocking referenceReclaim
 	reclaimBlocking         // Reclaim
+	reclaimStepped          // Reclaim, and kswapd suspended, through reclaimStep
 )
 
 // evictionDevice gives k a swap device evictions write to: none, an SSD
@@ -93,6 +94,32 @@ func reclaimScenario(cfg Config, seed uint64, dev string, mode int) string {
 		})
 	}
 	e.Spawn("kswapd", true, func(v *sim.Env) {
+		if mode == reclaimStepped {
+			var w reclaimWalk
+			walking := false
+			step := func() bool {
+				for {
+					if walking {
+						if g.reclaimStep(v, &w) {
+							return true
+						}
+						logf("kswapd reclaim %d", w.evicted)
+						walking = false
+						continue
+					}
+					if k.M.FreePages() < frames/8 {
+						w, walking = reclaimWalk{}, true
+						g.startReclaim(&w, 8)
+						continue
+					}
+					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {
+						return true
+					}
+				}
+			}
+			step()
+			v.Suspend(step)
+		}
 		for {
 			if k.M.FreePages() < frames/8 {
 				logf("kswapd reclaim %d", reclaim(v, 8))
@@ -145,7 +172,8 @@ var reclaimConfigs = []struct {
 }
 
 // TestReclaimMatchesReference holds MG-LRU's eviction pass to the
-// blocking reference pass: procs reclaiming through Reclaim log the same
+// blocking reference pass: procs reclaiming through Reclaim, with kswapd
+// blocking or running suspended through reclaimStep, log the same
 // reclaims, faults, times and final state (shadows included) as procs
 // reclaiming through referenceReclaim, for every variant, with evictions
 // that never park, that stall on an SSD and that charge ZRAM.
@@ -157,8 +185,10 @@ func TestReclaimMatchesReference(t *testing.T) {
 				if !strings.Contains(want, "err=<nil>") || !strings.Contains(want, "kswapd reclaim") {
 					t.Fatalf("%s/%s seed %d: the scenario failed or kswapd never ran:\n%s", vc.name, dev, seed, want[max(0, len(want)-400):])
 				}
-				if got := reclaimScenario(vc.cfg, seed, dev, reclaimBlocking); got != want {
-					t.Errorf("%s/%s seed %d: log differs from the reference pass's:\n%s", vc.name, dev, seed, firstDiff(got, want))
+				for _, mode := range []int{reclaimBlocking, reclaimStepped} {
+					if got := reclaimScenario(vc.cfg, seed, dev, mode); got != want {
+						t.Errorf("%s/%s seed %d mode %d: log differs from the reference pass's:\n%s", vc.name, dev, seed, mode, firstDiff(got, want))
+					}
 				}
 			}
 		}

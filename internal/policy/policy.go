@@ -13,6 +13,7 @@ import (
 	"mglrusim/internal/pagetable"
 	"mglrusim/internal/rmap"
 	"mglrusim/internal/sim"
+	"mglrusim/internal/swap"
 )
 
 // Shadow is the information remembered about an evicted page, used for
@@ -43,6 +44,12 @@ type Kernel interface {
 	// The policy must have removed f from its lists first. May block on
 	// writeback backpressure.
 	EvictPage(v *sim.Env, f mem.FrameID, sh Shadow)
+	// EvictStep is EvictPage as a resumable eviction, for a proc running
+	// suspended (sim.Env.Suspend). It runs the eviction w until it parks
+	// the proc, and then reports true; the caller calls it again with the
+	// same w once the proc is continued. It reports false when the
+	// eviction is over.
+	EvictStep(v *sim.Env, w *EvictWalk) (parked bool)
 	// RequestAging asks the background aging task to run soon.
 	RequestAging()
 	// Rand returns the policy's dedicated RNG stream.
@@ -89,6 +96,18 @@ type AgeWalk struct {
 	Epoch  uint64   // the walk a waiting pass waits out
 	Dense  bool     // the scanned region is noted for the next pass
 	Lock   LockWait // the pass's place in the lock queue
+}
+
+// EvictWalk is the cursor of a resumable eviction (Kernel.EvictStep).
+// The caller sets F and Shadow, EvictPage's arguments, and zeroes the
+// rest; At and Write are the kernel's own record of where the eviction
+// stopped and of the device write it has in flight.
+type EvictWalk struct {
+	F      mem.FrameID
+	Shadow Shadow
+
+	At    uint8
+	Write swap.WriteWalk
 }
 
 // NoAging provides the Age, AgeStep and NeedsAging of a policy without

@@ -28,9 +28,10 @@ type Kernel struct {
 	// AgingRequests counts RequestAging calls.
 	AgingRequests int
 
-	// OnEvict, when set, is called for every EvictPage after the
+	// OnEvict, when set, is called for every eviction after the
 	// bookkeeping completes (the replay harness hooks it to count faults
-	// and drive auditors).
+	// and drive auditors). It must not block: an eviction may run inline,
+	// in a step (EvictStep).
 	OnEvict func(v *sim.Env, vpn pagetable.VPN, sh policy.Shadow)
 
 	// Dev, when set, receives a write of every evicted page, at the slot
@@ -39,6 +40,10 @@ type Kernel struct {
 	Dev swap.Device
 
 	nextSlot int32
+	// held keeps, per frame, the shadow FaultIn hands PageIn, so that a
+	// refault allocates nothing.
+	held   []policy.Shadow
+	evicts sim.Pool[policy.EvictWalk]
 }
 
 // New creates a test kernel with frames physical pages and a page table of
@@ -60,6 +65,7 @@ func NewWithTable(frames int, t *pagetable.Table, seed uint64) *Kernel {
 		R:       rmap.New(m, rmap.CostModel{Base: 100}, rng.Stream(1)),
 		RNG:     rng.Stream(2),
 		Shadows: map[pagetable.VPN]policy.Shadow{},
+		held:    make([]policy.Shadow, frames),
 	}
 }
 
@@ -78,24 +84,44 @@ func (k *Kernel) Rand() *sim.RNG { return k.RNG }
 // RequestAging implements policy.Kernel.
 func (k *Kernel) RequestAging() { k.AgingRequests++ }
 
-// EvictPage implements policy.Kernel: instantly evicts to a fake swap.
+// EvictPage implements policy.Kernel: instantly evicts to a fake swap,
+// writing the page to Dev if it is set. It runs the eviction of
+// EvictStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (k *Kernel) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	fr := k.M.Frame(f)
-	vpn := pagetable.VPN(fr.VPN)
-	k.nextSlot++
-	k.T.Evict(vpn, k.nextSlot)
-	k.Shadows[vpn] = sh
-	k.EvictOrder = append(k.EvictOrder, vpn)
+	w := k.evicts.Get()
+	w.F, w.Shadow = f, sh
+	if k.EvictStep(v, w) {
+		v.Suspend(func() bool { return k.EvictStep(v, w) })
+	}
+	k.evicts.Put(w)
+}
+
+// EvictStep implements policy.Kernel: EvictPage as a resumable eviction.
+// It parks only on Dev's write.
+func (k *Kernel) EvictStep(v *sim.Env, w *policy.EvictWalk) (parked bool) {
+	if w.At == 0 {
+		vpn := pagetable.VPN(k.M.Frame(w.F).VPN)
+		k.nextSlot++
+		k.T.Evict(vpn, k.nextSlot)
+		k.Shadows[vpn] = w.Shadow
+		k.EvictOrder = append(k.EvictOrder, vpn)
+		w.At = 1
+		w.Write = swap.WriteWalk{Slot: k.nextSlot, VPN: int64(vpn)}
+	}
 	if k.Dev != nil {
-		if err := k.Dev.WritePage(v, k.nextSlot, int64(vpn), 0); err != nil {
-			panic(err)
+		if k.Dev.WriteStep(v, &w.Write) {
+			return true
+		}
+		if w.Write.Err != nil {
+			panic(w.Write.Err)
 		}
 	}
-	fr.VPN = -1
-	k.M.Free(f)
+	k.M.Frame(w.F).VPN = -1
+	k.M.Free(w.F)
 	if k.OnEvict != nil {
-		k.OnEvict(v, vpn, sh)
+		k.OnEvict(v, pagetable.VPN(w.Write.VPN), w.Shadow)
 	}
+	return false
 }
 
 // FaultIn makes vpn resident (allocating a frame) and informs the policy,
@@ -114,7 +140,8 @@ func (k *Kernel) FaultIn(v *sim.Env, p policy.Policy, vpn pagetable.VPN, write, 
 	}
 	var sh *policy.Shadow
 	if s, ok := k.Shadows[vpn]; ok {
-		sh = &s
+		k.held[f] = s
+		sh = &k.held[f]
 		delete(k.Shadows, vpn)
 	}
 	p.PageIn(v, f, sh)

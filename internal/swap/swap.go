@@ -106,6 +106,12 @@ type Device interface {
 	Name() string
 	ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error
 	WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error
+	// WriteStep is WritePage as a resumable write, for a proc running
+	// suspended (sim.Env.Suspend). It runs the write w until the write
+	// parks the proc, and then reports true; the caller calls it again
+	// with the same w once the proc is continued. It reports false when
+	// the write is over, with its error in w.Err.
+	WriteStep(v *sim.Env, w *WriteWalk) (parked bool)
 	// PrefetchPage reads slot as part of a readahead cluster anchored at
 	// a blocking demand read: on a block device the transfer is amortized
 	// into the cluster I/O, on ZRAM each page still pays decompression
@@ -116,6 +122,26 @@ type Device interface {
 	// Drain blocks until all in-flight asynchronous writes have completed.
 	Drain(v *sim.Env)
 	Stats() Stats
+}
+
+// WriteWalk is the cursor of a resumable page write (Device.WriteStep).
+// The caller sets Slot, VPN and Version and zeroes the rest; Err is the
+// write's result. The other fields are the devices' own record of where
+// the write stopped: At and Stall are the medium's, the rest a wrapping
+// device's, which hands the same cursor on to the medium it wraps.
+type WriteWalk struct {
+	Slot    Slot
+	VPN     int64
+	Version uint32
+	Err     error
+
+	At    uint8          // the medium's next point
+	Stall telemetry.Span // the medium's open writeback-stall span
+
+	WrapAt  uint8        // the wrapper's next point
+	Attempt int          // the wrapper's failed attempts so far
+	Backoff sim.Duration // the wrapper's next retry backoff
+	Backing bool         // the wrapper writes to its backing device
 }
 
 // SSDConfig parameterizes an SSD device.
@@ -219,28 +245,52 @@ func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 // WritePage implements Device: the write is submitted asynchronously, but
 // the caller blocks first if too many writebacks are already in flight —
 // this is the reclaim backpressure that can stall eviction under thrash.
+// It runs the write of WriteStep, continuing it inline (sim.Env.Suspend)
+// if it parks.
 func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
-	var stall telemetry.Span
-	if d.tr != nil && d.inWrite >= d.cfg.MaxDirtyWrites {
-		stall = d.tr.Begin(d.tr.Track(v.Proc().Name()), "writeback-stall")
+	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	if !d.WriteStep(v, &w) {
+		return w.Err
 	}
-	for d.inWrite >= d.cfg.MaxDirtyWrites {
+	// Only a write that parks moves its cursor to the heap.
+	hw := w
+	v.Suspend(func() bool { return d.WriteStep(v, &hw) })
+	return hw.Err
+}
+
+// The points of an SSD write, in WriteWalk.At.
+const (
+	ssdStart = iota // open the stall span if the write has to wait
+	ssdWait         // wait out the writeback window, then submit
+)
+
+// WriteStep implements Device: WritePage as a resumable write.
+func (d *SSD) WriteStep(v *sim.Env, w *WriteWalk) (parked bool) {
+	if w.At == ssdStart {
+		if d.tr != nil && d.inWrite >= d.cfg.MaxDirtyWrites {
+			w.Stall = d.tr.Begin(d.tr.Track(v.Proc().Name()), "writeback-stall")
+		}
+		w.At = ssdWait
+	}
+	if d.inWrite >= d.cfg.MaxDirtyWrites {
 		d.stats.WriteStalls++
-		v.Wait(&d.wcond)
+		v.TryWait(&d.wcond)
+		return true
 	}
-	stall.End()
+	w.Stall.End()
 	done := d.service(d.cfg.WriteLatency)
 	d.inWrite++
 	d.stats.Writes++
 	d.stats.WriteTime += int64(done - v.Now())
 	if d.tr != nil {
-		d.tr.Emit(d.trTrack, "ssd-write", v.Now(), int64(done-v.Now()), int64(slot))
+		d.tr.Emit(d.trTrack, "ssd-write", v.Now(), int64(done-v.Now()), int64(w.Slot))
 	}
 	d.eng.After(int64(done-v.Now()), func() {
 		d.inWrite--
 		d.wcond.Broadcast(d.eng)
 	})
-	return nil
+	w.Err = nil
+	return false
 }
 
 // PrefetchPage implements Device: the page rides the cluster I/O of the
@@ -347,17 +397,41 @@ func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error 
 
 // WritePage implements Device: compression burns CPU on the caller and the
 // compressed size is measured with the real compressor, run once per
-// distinct page content per process (zram.Store memoizes sizes).
+// distinct page content per process (zram.Store memoizes sizes). It runs
+// the write of WriteStep, continuing it inline (sim.Env.Suspend) if the
+// charge parks.
 func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
+	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	if !d.WriteStep(v, &w) {
+		return w.Err
+	}
+	// Only a write that parks moves its cursor to the heap.
+	hw := w
+	v.Suspend(func() bool { return d.WriteStep(v, &hw) })
+	return hw.Err
+}
+
+// The points of a ZRAM write, in WriteWalk.At.
+const (
+	zramStart   = iota // compress and charge
+	zramCharged        // the charge is over
+)
+
+// WriteStep implements Device: WritePage as a resumable write.
+func (d *ZRAM) WriteStep(v *sim.Env, w *WriteWalk) (parked bool) {
+	if w.At != zramStart {
+		return false
+	}
 	lat := d.jittered(d.cfg.WriteLatency)
 	d.stats.Writes++
 	d.stats.WriteTime += lat
-	d.store.Write(slot, vpn, version, d.class(vpn))
+	d.store.Write(w.Slot, w.VPN, w.Version, d.class(w.VPN))
 	if d.tr != nil {
-		d.tr.Emit(d.tr.Track(v.Proc().Name()), "zram-write", v.Now(), lat, int64(slot))
+		d.tr.Emit(d.tr.Track(v.Proc().Name()), "zram-write", v.Now(), lat, int64(w.Slot))
 	}
-	v.Charge(lat)
-	return nil
+	w.At = zramCharged
+	w.Err = nil
+	return !v.TryCharge(lat)
 }
 
 // PrefetchPage implements Device: ZRAM readahead still decompresses every

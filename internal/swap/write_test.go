@@ -15,6 +15,7 @@ import (
 const (
 	writeReference = iota // blocking referenceWritePage
 	writeBlocking         // WritePage
+	writeStepped          // suspended, through WriteStep
 )
 
 // writeScenario runs three procs on two CPUs that charge CPU, read and
@@ -44,6 +45,56 @@ func writeScenario(mk func(e *sim.Engine, rng *sim.RNG) Device, seed uint64, mod
 	for p := 0; p < 3; p++ {
 		prng := rng.Stream(uint64(p))
 		e.Spawn(fmt.Sprintf("w%d", p), false, func(v *sim.Env) {
+			if mode == writeStepped {
+				// The step charges and writes; a read hands the proc back
+				// to its coroutine.
+				const (
+					charge = iota
+					pick
+					write
+				)
+				at := charge
+				var w WriteWalk
+				i := 0
+				step := func() bool {
+					for i < 60 {
+						switch at {
+						case charge:
+							at = pick
+							if !v.TryCharge(sim.Duration(1+prng.Intn(40)) * sim.Microsecond) {
+								return true
+							}
+						case pick:
+							slot := Slot(prng.Intn(32))
+							if prng.Bool(0.2) {
+								w.Slot = slot
+								return false
+							}
+							w = WriteWalk{Slot: slot, VPN: int64(p*100 + i), Version: 1}
+							at = write
+						case write:
+							if d.WriteStep(v, &w) {
+								return true
+							}
+							fmt.Fprintf(&log, "%d w%d write %d %v\n", e.Now(), p, w.Slot, w.Err)
+							i, at = i+1, charge
+						}
+					}
+					return false
+				}
+				for i < 60 {
+					if step() {
+						v.Suspend(step)
+					}
+					if i < 60 {
+						if err := d.ReadPage(v, w.Slot, int64(w.Slot), 1); err != nil {
+							panic(err)
+						}
+						i, at = i+1, charge
+					}
+				}
+				return
+			}
 			for i := 0; i < 60; i++ {
 				v.Charge(sim.Duration(1+prng.Intn(40)) * sim.Microsecond)
 				slot := Slot(prng.Intn(32))
@@ -86,8 +137,9 @@ var writeDevices = []struct {
 }
 
 // TestWriteMatchesReference holds the media's writes to the blocking
-// reference writes: procs writing through WritePage log the same writes,
-// times, stats and trace as procs writing through referenceWritePage.
+// reference writes: procs writing through WritePage, or running
+// suspended and writing through WriteStep, log the same writes, times,
+// stats and trace as procs writing through referenceWritePage.
 func TestWriteMatchesReference(t *testing.T) {
 	for _, dv := range writeDevices {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -98,8 +150,10 @@ func TestWriteMatchesReference(t *testing.T) {
 			if dv.name == "ssd" && strings.Contains(want, "WriteStalls:0 ") {
 				t.Fatalf("%s seed %d: no write stalled", dv.name, seed)
 			}
-			if got := writeScenario(dv.mk, seed, writeBlocking); got != want {
-				t.Errorf("%s seed %d: log differs from the reference writes':\n%s", dv.name, seed, firstDiff(got, want))
+			for _, mode := range []int{writeBlocking, writeStepped} {
+				if got := writeScenario(dv.mk, seed, mode); got != want {
+					t.Errorf("%s seed %d mode %d: log differs from the reference writes':\n%s", dv.name, seed, mode, firstDiff(got, want))
+				}
 			}
 		}
 	}

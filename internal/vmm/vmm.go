@@ -125,6 +125,9 @@ type Manager struct {
 
 	kswapdCond sim.Cond
 	agingReq   bool
+	// evicts recycles EvictPage's cursors, which EvictStep hands on to
+	// the devices.
+	evicts sim.Pool[policy.EvictWalk]
 	// agingRef, when set by SetAgingDaemon, runs in place of agingDaemon.
 	agingRef func(v *sim.Env, requested *bool)
 
@@ -263,14 +266,68 @@ func (m *Manager) RequestAging() { m.agingReq = true }
 
 // EvictPage implements policy.Kernel: unmap, write back if the swap copy
 // is stale, free the frame. Clean pages with a valid swap copy are
-// dropped without I/O.
+// dropped without I/O. It runs the eviction of EvictStep, continuing it
+// inline (sim.Env.Suspend) if it parks.
 func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	fr := m.memry.Frame(f)
-	vpn := pagetable.VPN(fr.VPN)
-	if m.fc != nil && fr.Flags&mem.FlagFile != 0 {
-		m.evictFilePage(v, f, fr, vpn, sh)
-		return
+	w := m.evicts.Get()
+	w.F, w.Shadow = f, sh
+	if m.EvictStep(v, w) {
+		v.Suspend(func() bool { return m.EvictStep(v, w) })
 	}
+	m.evicts.Put(w)
+}
+
+// The points of an eviction, in policy.EvictWalk.At.
+const (
+	evictStart   = iota // unmap the page and start its write, if any
+	evictSwapOut        // the swap device's write is in flight
+	evictPageOut        // the page cache's write is in flight
+	evictFree           // free the frame
+)
+
+// EvictStep implements policy.Kernel: EvictPage as a resumable eviction.
+func (m *Manager) EvictStep(v *sim.Env, w *policy.EvictWalk) (parked bool) {
+	for {
+		switch w.At {
+		case evictStart:
+			fr := m.memry.Frame(w.F)
+			vpn := pagetable.VPN(fr.VPN)
+			w.At = evictFree
+			if m.fc != nil && fr.Flags&mem.FlagFile != 0 {
+				if m.unmapFilePage(v, fr, vpn, w.Shadow) {
+					w.At = evictPageOut
+					w.Write = m.fc.BeginPageOut(vpn)
+				}
+				continue
+			}
+			if slot, write := m.unmapPage(v, fr, vpn, w.Shadow); write {
+				w.At = evictSwapOut
+				w.Write = swap.WriteWalk{Slot: slot, VPN: int64(vpn), Version: m.versions.Peek(int(vpn))}
+			}
+		case evictSwapOut:
+			if m.dev.WriteStep(v, &w.Write) {
+				return true
+			}
+			mustIO(w.Write.Err)
+			w.At = evictFree
+		case evictPageOut:
+			if m.fc.PageOutStep(v, &w.Write) {
+				return true
+			}
+			w.At = evictFree
+		case evictFree:
+			m.memry.Frame(w.F).VPN = -1
+			m.memry.Free(w.F)
+			return false
+		}
+	}
+}
+
+// unmapPage is the swap branch of an eviction up to its write: it
+// assigns vpn a swap slot at its first eviction, unmaps it and records
+// sh. It reports the slot and whether the page must be written, because
+// it is dirty or has no swap copy yet.
+func (m *Manager) unmapPage(v *sim.Env, fr *mem.Frame, vpn pagetable.VPN, sh policy.Shadow) (swap.Slot, bool) {
 	slot := m.table.SwapOf(vpn)
 	firstEvict := slot == pagetable.NilSwap
 	if firstEvict {
@@ -297,15 +354,14 @@ func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
 		// page may legitimately refault during it.
 		m.audit.Evicted(v, vpn)
 	}
-	if dirty || firstEvict {
-		if dirty {
-			*m.versions.At(int(vpn))++
-		}
-		m.counters.SwapOuts++
-		mustIO(m.dev.WritePage(v, slot, int64(vpn), m.versions.Peek(int(vpn))))
+	if !dirty && !firstEvict {
+		return slot, false
 	}
-	fr.VPN = -1
-	m.memry.Free(f)
+	if dirty {
+		*m.versions.At(int(vpn))++
+	}
+	m.counters.SwapOuts++
+	return slot, true
 }
 
 // mustIO fails the trial on a swap-device error. The swap path has no
@@ -318,11 +374,12 @@ func mustIO(err error) {
 	}
 }
 
-// evictFilePage is EvictPage's page-cache branch. No swap slot is ever
-// allocated — the backing location is the page's fixed file offset — and
-// writeback happens only when the page is still dirty under the PTE or
-// the cache's bitmap (the flusher may already have cleaned both).
-func (m *Manager) evictFilePage(v *sim.Env, f mem.FrameID, fr *mem.Frame, vpn pagetable.VPN, sh policy.Shadow) {
+// unmapFilePage is the page-cache branch of an eviction up to its write.
+// No swap slot is ever allocated — the backing location is the page's
+// fixed file offset — and it reports that the page must be written only
+// when it is still dirty under the PTE or the cache's bitmap (the
+// flusher may already have cleaned both).
+func (m *Manager) unmapFilePage(v *sim.Env, fr *mem.Frame, vpn pagetable.VPN, sh policy.Shadow) bool {
 	if fr.Flags&mem.FlagPrefetch != 0 {
 		// Speculation miss: evicted without ever being touched.
 		m.counters.ReadaheadWaste++
@@ -340,10 +397,8 @@ func (m *Manager) evictFilePage(v *sim.Env, f mem.FrameID, fr *mem.Frame, vpn pa
 	}
 	if dirty {
 		m.counters.FileWritebacks++
-		m.fc.PageOut(v, vpn)
 	}
-	fr.VPN = -1
-	m.memry.Free(f)
+	return dirty
 }
 
 // --- fault path ---
