@@ -71,9 +71,9 @@ type Device struct {
 	maxWBackoff sim.Duration // write-retry backoff cap
 	stats       Stats
 
-	// writes recycles WritePage's cursors, which WriteStep hands on to
-	// the wrapped medium.
-	writes sim.Pool[swap.WriteWalk]
+	// writes runs WritePage's writes, whose cursors WriteStep hands on
+	// to the wrapped medium.
+	writes sim.Stepper[swap.WriteWalk]
 
 	tr      *telemetry.Tracer
 	trTrack telemetry.TrackID // the fault plane's own lane
@@ -111,6 +111,7 @@ func Wrap(inner swap.Device, plan Plan, backing swap.Device, rng *sim.RNG) *Devi
 	if plan.NeedsBacking() && backing != nil {
 		d.writtenBack = make(map[swap.Slot]struct{}, 256)
 	}
+	d.writes.Step = d.WriteStep
 	return d
 }
 
@@ -228,14 +229,7 @@ func (d *Device) overLimit() bool {
 // unconfigured no coins are flipped. It runs the write of WriteStep,
 // continuing it inline (sim.Env.Suspend) if it parks.
 func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	w := d.writes.Get()
-	w.Slot, w.VPN, w.Version = slot, vpn, version
-	if d.WriteStep(v, w) {
-		v.Suspend(func() bool { return d.WriteStep(v, w) })
-	}
-	err := w.Err
-	d.writes.Put(w)
-	return err
+	return d.writes.Run(v, swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}).Err
 }
 
 // The points of a wrapped write, in WriteWalk.WrapAt. The wrapped

@@ -257,9 +257,10 @@ type Cache struct {
 
 	stats Stats
 
-	// outs recycles PageOut's cursors, which PageOutStep hands on to the
-	// device; extents is flushPass's extent list, reused across passes.
-	outs    sim.Pool[swap.WriteWalk]
+	// outs runs PageOut's writes, whose cursors PageOutStep hands on to
+	// the device; extents is flushPass's extent list, reused across
+	// passes.
+	outs    sim.Stepper[swap.WriteWalk]
 	extents []extent
 
 	tr      *telemetry.Tracer
@@ -279,6 +280,7 @@ func New(cfg Config, eng *sim.Engine, table *pagetable.Table, memry *mem.Memory,
 	dev swap.Device, files []FileSpan) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{cfg: cfg, eng: eng, table: table, memry: memry, dev: dev}
+	c.outs.Step = c.PageOutStep
 	spans := append([]FileSpan(nil), files...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Base < spans[j].Base })
 	for i, s := range spans {
@@ -541,12 +543,7 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 // error ledger instead of failing reclaim. It runs the write of
 // PageOutStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
-	w := c.outs.Get()
-	*w = c.BeginPageOut(vpn)
-	if c.PageOutStep(v, w) {
-		v.Suspend(func() bool { return c.PageOutStep(v, w) })
-	}
-	c.outs.Put(w)
+	c.outs.Run(v, c.BeginPageOut(vpn))
 }
 
 // BeginPageOut accounts a page-out of vpn and returns the write that

@@ -52,9 +52,9 @@ type Clock struct {
 	inactive *mem.List
 	lock     policy.LRULock
 	stats    policy.Stats
-	// walks recycles Reclaim's cursors, which reclaimStep hands on to
-	// the kernel's EvictStep.
-	walks sim.Pool[reclaimWalk]
+	// reclaims runs Reclaim's passes, whose cursors reclaimStep hands on
+	// to the kernel's EvictStep.
+	reclaims sim.Stepper[reclaimWalk]
 }
 
 // New creates a Clock policy.
@@ -65,7 +65,9 @@ func New(cfg Config) *Clock {
 	if cfg.ScanBatch <= 0 {
 		cfg.ScanBatch = 32
 	}
-	return &Clock{cfg: cfg}
+	c := &Clock{cfg: cfg}
+	c.reclaims.Step = c.reclaimStep
+	return c
 }
 
 // Name implements policy.Policy.
@@ -133,21 +135,13 @@ func (c *Clock) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	w := c.walks.Get()
-	c.startReclaim(w, target)
-	if c.reclaimStep(v, w) {
-		v.Suspend(func() bool { return c.reclaimStep(v, w) })
-	}
-	evicted := w.evicted
-	c.walks.Put(w)
-	return evicted
+	return c.reclaims.Run(v, c.startReclaim(target)).evicted
 }
 
-// startReclaim sets the zeroed cursor w up for a pass that evicts up to
-// target pages.
-func (c *Clock) startReclaim(w *reclaimWalk, target int) {
-	w.target = target
-	w.budget = target * c.cfg.ScanBatch
+// startReclaim returns the cursor of a pass that evicts up to target
+// pages.
+func (c *Clock) startReclaim(target int) reclaimWalk {
+	return reclaimWalk{target: target, budget: target * c.cfg.ScanBatch}
 }
 
 // reclaimWalk is the cursor of an eviction pass.

@@ -102,8 +102,7 @@ func reclaimScenario(seed uint64, dev string, mode int) string {
 						continue
 					}
 					if k.M.FreePages() < frames/8 {
-						w, walking = reclaimWalk{}, true
-						c.startReclaim(&w, 8)
+						w, walking = c.startReclaim(8), true
 						continue
 					}
 					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {

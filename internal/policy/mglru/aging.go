@@ -29,13 +29,10 @@ import (
 // each time it parks.
 func (g *MGLRU) Age(v *sim.Env) bool {
 	var w policy.AgeWalk
-	if !g.AgeStep(v, &w) {
-		return w.Worked
+	if g.AgeStep(v, &w) {
+		g.ages.Continue(v, &w)
 	}
-	// Only a walk that parks moves its cursor to the heap.
-	hw := w
-	v.Suspend(func() bool { return g.AgeStep(v, &hw) })
-	return hw.Worked
+	return w.Worked
 }
 
 // The points of a walk, in AgeWalk.At. Each is where the walk goes on

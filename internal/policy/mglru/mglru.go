@@ -37,9 +37,10 @@ type MGLRU struct {
 	// eviction path, and the aging walk all serialize on it.
 	lock policy.LRULock
 
-	// walks recycles Reclaim's cursors, which reclaimStep hands on to the
-	// kernel's EvictStep.
-	walks sim.Pool[reclaimWalk]
+	// reclaims runs Reclaim's passes, whose cursors reclaimStep hands on
+	// to the kernel's EvictStep; ages continues Age's parked walks.
+	reclaims sim.Stepper[reclaimWalk]
+	ages     sim.Stepper[policy.AgeWalk]
 
 	// aging guards the walk itself: only one max_seq increment can be in
 	// flight (the kernel's try_to_inc_max_seq serialization). Concurrent
@@ -71,7 +72,10 @@ type MGLRU struct {
 // New creates an MG-LRU policy from cfg.
 func New(cfg Config) *MGLRU {
 	cfg.normalize()
-	return &MGLRU{cfg: cfg}
+	g := &MGLRU{cfg: cfg}
+	g.reclaims.Step = g.reclaimStep
+	g.ages.Step = g.AgeStep
+	return g
 }
 
 // Name implements policy.Policy.
@@ -295,20 +299,13 @@ func (g *MGLRU) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	w := g.walks.Get()
-	g.startReclaim(w, target)
-	if g.reclaimStep(v, w) {
-		v.Suspend(func() bool { return g.reclaimStep(v, w) })
-	}
-	evicted := w.evicted
-	g.walks.Put(w)
-	return evicted
+	return g.reclaims.Run(v, g.startReclaim(target)).evicted
 }
 
-// startReclaim sets the zeroed cursor w up for a pass that evicts up to
-// target pages.
-func (g *MGLRU) startReclaim(w *reclaimWalk, target int) {
-	w.target = target
+// startReclaim returns the cursor of a pass that evicts up to target
+// pages.
+func (g *MGLRU) startReclaim(target int) reclaimWalk {
+	w := reclaimWalk{target: target}
 	w.budget = target*g.cfg.ScanBatch + g.cfg.ScanBatch
 	w.allowTier = g.cfg.Tiers - 1
 	if g.cfg.TierProtection && g.cfg.Tiers > 1 {
@@ -322,6 +319,7 @@ func (g *MGLRU) startReclaim(w *reclaimWalk, target int) {
 	if g.fileGain != nil {
 		w.protectFile = g.fileGain.ProtectFile(1)
 	}
+	return w
 }
 
 // reclaimWalk is the cursor of an eviction pass.

@@ -108,8 +108,7 @@ func reclaimScenario(cfg Config, seed uint64, dev string, mode int) string {
 						continue
 					}
 					if k.M.FreePages() < frames/8 {
-						w, walking = reclaimWalk{}, true
-						g.startReclaim(&w, 8)
+						w, walking = g.startReclaim(8), true
 						continue
 					}
 					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {
@@ -193,4 +192,29 @@ func TestReclaimMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReclaimMatchesReference runs reclaimScenario at a fuzzed seed,
+// variant and eviction device, and requires Reclaim, with kswapd
+// blocking and suspended, to log what referenceReclaim does. flags picks
+// the variant: bit 0 turns the spatial scan off, bit 1 tier protection
+// (and the file gain) off, bits 2–3 the scan mode and bits 4–5 the
+// device (none, SSD, ZRAM).
+func FuzzReclaimMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(0))
+	f.Add(uint64(7), uint8(0x17))
+	f.Add(uint64(3), uint8(0x2a))
+	f.Fuzz(func(t *testing.T, seed uint64, flags uint8) {
+		cfg := Default()
+		cfg.SpatialScan = flags&1 == 0
+		cfg.TierProtection = flags&2 == 0
+		cfg.Mode = ScanMode(flags >> 2 & 3)
+		dev := []string{"none", "ssd", "zram", "none"}[flags>>4&3]
+		want := reclaimScenario(cfg, seed, dev, reclaimReference)
+		for _, mode := range []int{reclaimBlocking, reclaimStepped} {
+			if got := reclaimScenario(cfg, seed, dev, mode); got != want {
+				t.Fatalf("mode %d: log differs from the reference pass's:\n%s", mode, firstDiff(got, want))
+			}
+		}
+	})
 }

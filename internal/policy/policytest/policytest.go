@@ -43,7 +43,7 @@ type Kernel struct {
 	// held keeps, per frame, the shadow FaultIn hands PageIn, so that a
 	// refault allocates nothing.
 	held   []policy.Shadow
-	evicts sim.Pool[policy.EvictWalk]
+	evicts sim.Stepper[policy.EvictWalk]
 }
 
 // New creates a test kernel with frames physical pages and a page table of
@@ -59,7 +59,7 @@ func New(frames, regions int, seed uint64) *Kernel {
 func NewWithTable(frames int, t *pagetable.Table, seed uint64) *Kernel {
 	rng := sim.NewRNG(seed)
 	m := mem.New(frames)
-	return &Kernel{
+	k := &Kernel{
 		M:       m,
 		T:       t,
 		R:       rmap.New(m, rmap.CostModel{Base: 100}, rng.Stream(1)),
@@ -67,6 +67,8 @@ func NewWithTable(frames int, t *pagetable.Table, seed uint64) *Kernel {
 		Shadows: map[pagetable.VPN]policy.Shadow{},
 		held:    make([]policy.Shadow, frames),
 	}
+	k.evicts.Step = k.EvictStep
+	return k
 }
 
 // Mem implements policy.Kernel.
@@ -88,12 +90,7 @@ func (k *Kernel) RequestAging() { k.AgingRequests++ }
 // writing the page to Dev if it is set. It runs the eviction of
 // EvictStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (k *Kernel) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	w := k.evicts.Get()
-	w.F, w.Shadow = f, sh
-	if k.EvictStep(v, w) {
-		v.Suspend(func() bool { return k.EvictStep(v, w) })
-	}
-	k.evicts.Put(w)
+	k.evicts.Run(v, policy.EvictWalk{F: f, Shadow: sh})
 }
 
 // EvictStep implements policy.Kernel: EvictPage as a resumable eviction.

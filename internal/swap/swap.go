@@ -179,8 +179,11 @@ type SSD struct {
 	inWrite int
 	wcond   sim.Cond
 	stats   Stats
-	tr      *telemetry.Tracer
-	trTrack telemetry.TrackID // the device's own lane
+	writes  sim.Stepper[WriteWalk] // continues WritePage's parked writes
+	// completeWrite is writeDone as a callback, made once.
+	completeWrite func()
+	tr            *telemetry.Tracer
+	trTrack       telemetry.TrackID // the device's own lane
 }
 
 // SetTracer implements TracerSetter: reads, writes, and writeback stalls
@@ -201,7 +204,10 @@ func NewSSD(cfg SSDConfig, eng *sim.Engine, rng *sim.RNG) *SSD {
 	if cfg.MaxDirtyWrites <= 0 {
 		cfg.MaxDirtyWrites = 1
 	}
-	return &SSD{cfg: cfg, eng: eng, rng: rng, servers: make([]sim.Time, cfg.QueueDepth)}
+	d := &SSD{cfg: cfg, eng: eng, rng: rng, servers: make([]sim.Time, cfg.QueueDepth)}
+	d.writes.Step = d.WriteStep
+	d.completeWrite = d.writeDone
+	return d
 }
 
 // Name implements Device.
@@ -249,13 +255,10 @@ func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 // if it parks.
 func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if !d.WriteStep(v, &w) {
-		return w.Err
+	if d.WriteStep(v, &w) {
+		d.writes.Continue(v, &w)
 	}
-	// Only a write that parks moves its cursor to the heap.
-	hw := w
-	v.Suspend(func() bool { return d.WriteStep(v, &hw) })
-	return hw.Err
+	return w.Err
 }
 
 // The points of an SSD write, in WriteWalk.At.
@@ -285,12 +288,16 @@ func (d *SSD) WriteStep(v *sim.Env, w *WriteWalk) (parked bool) {
 	if d.tr != nil {
 		d.tr.Emit(d.trTrack, "ssd-write", v.Now(), int64(done-v.Now()), int64(w.Slot))
 	}
-	d.eng.After(int64(done-v.Now()), func() {
-		d.inWrite--
-		d.wcond.Broadcast(d.eng)
-	})
+	d.eng.After(int64(done-v.Now()), d.completeWrite)
 	w.Err = nil
 	return false
+}
+
+// writeDone retires one in-flight write and wakes the writers waiting
+// for the writeback window.
+func (d *SSD) writeDone() {
+	d.inWrite--
+	d.wcond.Broadcast(d.eng)
 }
 
 // PrefetchPage implements Device: the page rides the cluster I/O of the
@@ -346,12 +353,13 @@ type ClassFn func(vpn int64) zram.ContentClass
 // compresses on the reclaiming thread. This is what couples swap speed to
 // CPU contention for this medium.
 type ZRAM struct {
-	cfg   ZRAMConfig
-	rng   *sim.RNG
-	store *zram.Store
-	class ClassFn
-	stats Stats
-	tr    *telemetry.Tracer
+	cfg    ZRAMConfig
+	rng    *sim.RNG
+	store  *zram.Store
+	class  ClassFn
+	stats  Stats
+	writes sim.Stepper[WriteWalk] // continues WritePage's parked writes
+	tr     *telemetry.Tracer
 }
 
 // SetTracer implements TracerSetter: [de]compression windows become spans
@@ -367,7 +375,9 @@ func NewZRAM(cfg ZRAMConfig, rng *sim.RNG, class ClassFn) *ZRAM {
 	if class == nil {
 		class = func(int64) zram.ContentClass { return zram.ClassStructured }
 	}
-	return &ZRAM{cfg: cfg, rng: rng, store: zram.NewStore(cfg.PageSize), class: class}
+	d := &ZRAM{cfg: cfg, rng: rng, store: zram.NewStore(cfg.PageSize), class: class}
+	d.writes.Step = d.WriteStep
+	return d
 }
 
 // Name implements Device.
@@ -402,13 +412,10 @@ func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error 
 // charge parks.
 func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if !d.WriteStep(v, &w) {
-		return w.Err
+	if d.WriteStep(v, &w) {
+		d.writes.Continue(v, &w)
 	}
-	// Only a write that parks moves its cursor to the heap.
-	hw := w
-	v.Suspend(func() bool { return d.WriteStep(v, &hw) })
-	return hw.Err
+	return w.Err
 }
 
 // The points of a ZRAM write, in WriteWalk.At.

@@ -125,9 +125,9 @@ type Manager struct {
 
 	kswapdCond sim.Cond
 	agingReq   bool
-	// evicts recycles EvictPage's cursors, which EvictStep hands on to
-	// the devices.
-	evicts sim.Pool[policy.EvictWalk]
+	// evicts runs EvictPage's evictions, whose cursors EvictStep hands
+	// on to the devices.
+	evicts sim.Stepper[policy.EvictWalk]
 	// agingRef, when set by SetAgingDaemon, runs in place of agingDaemon.
 	agingRef func(v *sim.Env, requested *bool)
 
@@ -203,6 +203,7 @@ func New(cfg Config, eng *sim.Engine, memry *mem.Memory, table *pagetable.Table,
 		faultLat:  stats.NewLatencyRecorder(1024),
 	}
 	m.slotOwner.SetDefault(-1)
+	m.evicts.Step = m.EvictStep
 	for w := cfg.ReadaheadWindow; w > 1; w >>= 1 {
 		m.raMaxShift++
 	}
@@ -269,12 +270,7 @@ func (m *Manager) RequestAging() { m.agingReq = true }
 // dropped without I/O. It runs the eviction of EvictStep, continuing it
 // inline (sim.Env.Suspend) if it parks.
 func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	w := m.evicts.Get()
-	w.F, w.Shadow = f, sh
-	if m.EvictStep(v, w) {
-		v.Suspend(func() bool { return m.EvictStep(v, w) })
-	}
-	m.evicts.Put(w)
+	m.evicts.Run(v, policy.EvictWalk{F: f, Shadow: sh})
 }
 
 // The points of an eviction, in policy.EvictWalk.At.
