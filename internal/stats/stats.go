@@ -3,6 +3,11 @@
 // to the p99.99 tails reported in the paper, ordinary least-squares
 // regression with r² (for the fault↔runtime linearity analysis), and
 // Welch's t-test (for the significance claims at higher memory capacities).
+//
+// The explicit float64 conversions around products in this file keep each
+// product from fusing with its sum into one FMA, which rounds once, on
+// architectures that have it, so every statistic is the same on every
+// architecture (TestNoFusedMultiplyAdd).
 package stats
 
 import (
@@ -33,7 +38,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -111,14 +116,14 @@ func percentileSorted(s []float64, p float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Summary is a five-number summary plus mean and deviation, matching the
@@ -183,9 +188,9 @@ func LinearFit(x, y []float64) Regression {
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	r := Regression{N: len(x)}
 	if sxx == 0 {
@@ -193,7 +198,7 @@ func LinearFit(x, y []float64) Regression {
 		return r
 	}
 	r.Slope = sxy / sxx
-	r.Intercept = my - r.Slope*mx
+	r.Intercept = my - float64(r.Slope*mx)
 	if syy == 0 {
 		r.R2 = 1
 		return r
@@ -242,7 +247,7 @@ func studentTCDFUpper(t, df float64) float64 {
 	if math.IsInf(t, 1) {
 		return 0
 	}
-	x := df / (df + t*t)
+	x := df / (df + float64(t*t))
 	return 0.5 * regIncBeta(df/2, 0.5, x)
 }
 
@@ -256,7 +261,7 @@ func regIncBeta(a, b, x float64) float64 {
 		return 1
 	}
 	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(math.Log(x)*a + math.Log(1-x)*b + lbeta)
+	front := math.Exp(float64(math.Log(x)*a) + float64(math.Log(1-x)*b) + lbeta)
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
 	}
@@ -286,7 +291,7 @@ func betaCF(a, b, x float64) float64 {
 	for m := 1; m <= maxIter; m++ {
 		m2 := float64(2 * m)
 		aa := float64(m) * (b - float64(m)) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -297,7 +302,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -306,7 +311,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
@@ -344,7 +349,7 @@ func Histogram(xs []float64, n int) (counts []int, edges []float64) {
 	edges = make([]float64, n+1)
 	w := (hi - lo) / float64(n)
 	for i := range edges {
-		edges[i] = lo + w*float64(i)
+		edges[i] = lo + float64(w*float64(i))
 	}
 	for _, x := range xs {
 		b := int((x - lo) / w)
