@@ -110,6 +110,11 @@ func BenchmarkStepSwitch(b *testing.B) {
 	benchStepSwitch(b.N, b.ResetTimer)
 }
 
+func BenchmarkContendedReclaim(b *testing.B) {
+	b.ReportAllocs()
+	benchContendedReclaim(b.N, b.ResetTimer)
+}
+
 func BenchmarkZRAMWrite(b *testing.B) {
 	b.ReportAllocs()
 	benchZRAMWrite(b.N, b.ResetTimer)
@@ -151,6 +156,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		{"fullscale-fault-path", benchFullScaleFaultPath, 20000},
 		{"proc-switch", benchProcSwitch, 16},
 		{"step-switch", benchStepSwitch, 16},
+		{"contended-reclaim", benchContendedReclaim, 16},
 		{"zram-write", benchZRAMWrite, 16},
 		{"series-decode", benchSeriesDecode, 2},
 		{"merged-tail", benchMergedTail, 2},
@@ -558,6 +564,59 @@ func benchStepSwitch(n int, reset func()) {
 			}
 		})
 	}
+	if err := eng.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// benchContendedReclaim measures MG-LRU direct reclaim on a contended
+// CPU: one proc reclaims a batch of 8 pages from full memory and faults 8
+// pages back in, while a second proc on the same CPU charges CPU in 10 µs
+// slices, so the pass's charges and lock waits park it. Each op is one
+// Reclaim plus its refill.
+func benchContendedReclaim(n int, reset func()) {
+	k := policytestutil.New(benchFrames, benchRegions, 7)
+	p := mglru.New(mglru.Default())
+	p.Attach(k)
+	eng := sim.NewEngine(1)
+	pages := pagetable.VPN(k.T.Pages())
+	done := false
+	eng.Spawn("reclaim", false, func(v *sim.Env) {
+		next := pagetable.VPN(0)
+		fill := func() {
+			for k.M.FreePages() > 0 {
+				if !k.T.IsPresent(next) {
+					k.FaultIn(v, p, next, false, false)
+				}
+				next = (next + 1) % pages
+			}
+		}
+		fill()
+		reset()
+		for i := 0; i < n; i++ {
+			for j := pagetable.VPN(0); j < 32; j++ {
+				k.Touch((next+j*7)%pages, false)
+			}
+			if p.Reclaim(v, 8) == 0 {
+				p.Age(v)
+			}
+			fill()
+		}
+		done = true
+	})
+	eng.Spawn("charge", false, func(v *sim.Env) {
+		step := func() bool {
+			for !done {
+				if !v.TryCharge(10 * sim.Microsecond) {
+					return true
+				}
+			}
+			return false
+		}
+		if step() {
+			v.Suspend(step)
+		}
+	})
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}
