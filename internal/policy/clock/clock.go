@@ -162,8 +162,7 @@ type reclaimWalk struct {
 const (
 	balanceScan     = iota // the balance scan's loop test
 	balanceLock            // take the lock to isolate an active page
-	balanceWalked          // the page's rmap walk is charged
-	balanceApply           // take the lock to demote or rotate it
+	balanceApply           // walk charged: take the lock to demote or rotate
 	balanceApplied         // the move's charge is over
 	shrinkScan             // the shrink's loop test
 	shrinkLock             // take the lock to isolate an inactive page
@@ -200,12 +199,10 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 			}
 			w.f = c.active.PopTail()
 			c.lock.Release(v)
-			if c.walk(v, w, balanceWalked) {
+			w.budget--
+			if c.walk(v, w, balanceApply) {
 				return true
 			}
-		case balanceWalked:
-			w.budget--
-			w.at = balanceApply
 		case balanceApply:
 			if !c.lock.TryAcquire(v, &w.lock) {
 				return true
