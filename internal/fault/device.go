@@ -229,7 +229,12 @@ func (d *Device) overLimit() bool {
 // unconfigured no coins are flipped. It runs the write of WriteStep,
 // continuing it inline (sim.Env.Suspend) if it parks.
 func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	return d.writes.Run(v, swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}).Err
+	c := d.writes.Get()
+	c.W = swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	d.writes.Run(v, c)
+	err := c.W.Err
+	d.writes.Put(c)
+	return err
 }
 
 // The points of a wrapped write, in WriteWalk.WrapAt. The wrapped

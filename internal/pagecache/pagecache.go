@@ -543,7 +543,10 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 // error ledger instead of failing reclaim. It runs the write of
 // PageOutStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
-	c.outs.Run(v, c.BeginPageOut(vpn))
+	w := c.outs.Get()
+	w.W = c.BeginPageOut(vpn)
+	c.outs.Run(v, w)
+	c.outs.Put(w)
 }
 
 // BeginPageOut accounts a page-out of vpn and returns the write that

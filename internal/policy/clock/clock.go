@@ -135,13 +135,19 @@ func (c *Clock) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	return c.reclaims.Run(v, c.startReclaim(target)).evicted
+	r := c.reclaims.Get()
+	c.startReclaim(&r.W, target)
+	c.reclaims.Run(v, r)
+	evicted := r.W.evicted
+	c.reclaims.Put(r)
+	return evicted
 }
 
-// startReclaim returns the cursor of a pass that evicts up to target
-// pages.
-func (c *Clock) startReclaim(target int) reclaimWalk {
-	return reclaimWalk{target: target, budget: target * c.cfg.ScanBatch}
+// startReclaim sets w up for a pass that evicts up to target pages. The
+// rest of w is set before it is read: the page and the eviction with
+// each candidate, and a lock wait is over before a pass ends.
+func (c *Clock) startReclaim(w *reclaimWalk, target int) {
+	w.at, w.target, w.evicted, w.budget = balanceScan, target, 0, target*c.cfg.ScanBatch
 }
 
 // reclaimWalk is the cursor of an eviction pass.
@@ -167,9 +173,9 @@ const (
 	shrinkScan             // the shrink's loop test
 	shrinkLock             // take the lock to isolate an inactive page
 	shrinkWalked           // the page's rmap walk is charged
+	shrinkEvict            // the page's eviction is in flight
 	shrinkActivate         // take the lock to activate a referenced page
 	shrinkActivated        // the activation's charge is over
-	shrinkEvict            // the page's eviction is in flight
 )
 
 // reclaimStep runs the pass w until it parks the proc, and then reports
@@ -185,14 +191,16 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 	for {
 		switch w.at {
 		case balanceScan:
-			w.at = balanceLock
 			if !c.inactiveIsLow() || w.budget <= 0 || c.active.Empty() {
 				// Bound the shrink: examine at most the current inactive
 				// population plus a batch allowance, so a fully-hot list
 				// terminates.
 				w.budget = c.inactive.Len() + c.cfg.ScanBatch
 				w.at = shrinkScan
+				continue
 			}
+			w.at = balanceLock
+			fallthrough
 		case balanceLock:
 			if !c.lock.TryAcquire(v, &w.lock) {
 				return true
@@ -203,6 +211,7 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 			if c.walk(v, w, balanceApply) {
 				return true
 			}
+			fallthrough
 		case balanceApply:
 			if !c.lock.TryAcquire(v, &w.lock) {
 				return true
@@ -218,6 +227,7 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 			if !c.tryCharge(v, c.cfg.Costs.PageOp) {
 				return true
 			}
+			fallthrough
 		case balanceApplied:
 			c.lock.Release(v)
 			w.at = balanceScan
@@ -226,6 +236,7 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 				return false
 			}
 			w.at = shrinkLock
+			fallthrough
 		case shrinkLock:
 			if !c.lock.TryAcquire(v, &w.lock) {
 				return true
@@ -239,6 +250,7 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 			if c.walk(v, w, shrinkWalked) {
 				return true
 			}
+			fallthrough
 		case shrinkWalked:
 			if c.k.Table().TestAndClearAccessed(w.vpn) {
 				// Second chance: referenced while inactive -> activate.
@@ -246,8 +258,15 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 				continue
 			}
 			c.stats.Evicted++
-			w.evict = policy.EvictWalk{F: w.f, Shadow: policy.Shadow{EvictedAt: v.Now()}}
+			w.evict.F, w.evict.Shadow, w.evict.At = w.f, policy.Shadow{EvictedAt: v.Now()}, 0
 			w.at = shrinkEvict
+			fallthrough
+		case shrinkEvict:
+			if c.k.EvictStep(v, &w.evict) {
+				return true
+			}
+			w.evicted++
+			w.at = shrinkScan
 		case shrinkActivate:
 			if !c.lock.TryAcquire(v, &w.lock) {
 				return true
@@ -257,15 +276,10 @@ func (c *Clock) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 			if !c.tryCharge(v, c.cfg.Costs.PageOp) {
 				return true
 			}
+			fallthrough
 		case shrinkActivated:
 			c.lock.Release(v)
 			c.stats.Promoted++
-			w.at = shrinkScan
-		case shrinkEvict:
-			if c.k.EvictStep(v, &w.evict) {
-				return true
-			}
-			w.evicted++
 			w.at = shrinkScan
 		}
 	}

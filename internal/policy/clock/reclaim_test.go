@@ -102,7 +102,8 @@ func reclaimScenario(seed uint64, dev string, mode int) string {
 						continue
 					}
 					if k.M.FreePages() < frames/8 {
-						w, walking = c.startReclaim(8), true
+						c.startReclaim(&w, 8)
+						walking = true
 						continue
 					}
 					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {

@@ -299,13 +299,20 @@ func (g *MGLRU) Reclaim(v *sim.Env, target int) int {
 	if target <= 0 {
 		return 0
 	}
-	return g.reclaims.Run(v, g.startReclaim(target)).evicted
+	c := g.reclaims.Get()
+	g.startReclaim(&c.W, target)
+	g.reclaims.Run(v, c)
+	evicted := c.W.evicted
+	g.reclaims.Put(c)
+	return evicted
 }
 
-// startReclaim returns the cursor of a pass that evicts up to target
-// pages.
-func (g *MGLRU) startReclaim(target int) reclaimWalk {
-	w := reclaimWalk{target: target}
+// startReclaim sets w up for a pass that evicts up to target pages. The
+// rest of w is set before it is read: the candidate, its eviction and
+// any walk with each candidate, and a lock wait is over before a pass
+// ends.
+func (g *MGLRU) startReclaim(w *reclaimWalk, target int) {
+	w.at, w.target, w.evicted, w.shielded = reclaimScan, target, 0, 0
 	w.budget = target*g.cfg.ScanBatch + g.cfg.ScanBatch
 	w.allowTier = g.cfg.Tiers - 1
 	if g.cfg.TierProtection && g.cfg.Tiers > 1 {
@@ -316,10 +323,7 @@ func (g *MGLRU) startReclaim(target int) reclaimWalk {
 	// kernel's get_type_to_scan picking the type whose evictions are NOT
 	// coming back; the progress fallback keeps reclaim live when the tail
 	// holds nothing but file pages.
-	if g.fileGain != nil {
-		w.protectFile = g.fileGain.ProtectFile(1)
-	}
-	return w
+	w.protectFile = g.fileGain != nil && g.fileGain.ProtectFile(1)
 }
 
 // reclaimWalk is the cursor of an eviction pass.
@@ -442,7 +446,7 @@ func (g *MGLRU) reclaimStep(v *sim.Env, w *reclaimWalk) (parked bool) {
 				g.fileGain.RecordEviction(fr.Flags&mem.FlagFile != 0)
 			}
 			g.stats.Evicted++
-			w.evict = policy.EvictWalk{F: w.f, Shadow: sh}
+			w.evict.F, w.evict.Shadow, w.evict.At = w.f, sh, 0
 			w.at = reclaimEvict
 		case reclaimEvict:
 			if g.k.EvictStep(v, &w.evict) {

@@ -108,7 +108,8 @@ func reclaimScenario(cfg Config, seed uint64, dev string, mode int) string {
 						continue
 					}
 					if k.M.FreePages() < frames/8 {
-						w, walking = g.startReclaim(8), true
+						g.startReclaim(&w, 8)
+						walking = true
 						continue
 					}
 					if !v.TrySleepUntil(v.Now() + sim.Time(200*sim.Microsecond)) {

@@ -99,9 +99,10 @@ type AgeWalk struct {
 }
 
 // EvictWalk is the cursor of a resumable eviction (Kernel.EvictStep).
-// The caller sets F and Shadow, EvictPage's arguments, and zeroes the
-// rest; At and Write are the kernel's own record of where the eviction
-// stopped and of the device write it has in flight.
+// The caller sets F and Shadow, EvictPage's arguments, and zeroes At;
+// At and Write are the kernel's own record of where the eviction stopped
+// and of the device write it has in flight, which the kernel sets up
+// whole when it starts one.
 type EvictWalk struct {
 	F      mem.FrameID
 	Shadow Shadow

@@ -90,7 +90,10 @@ func (k *Kernel) RequestAging() { k.AgingRequests++ }
 // writing the page to Dev if it is set. It runs the eviction of
 // EvictStep, continuing it inline (sim.Env.Suspend) if it parks.
 func (k *Kernel) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	k.evicts.Run(v, policy.EvictWalk{F: f, Shadow: sh})
+	c := k.evicts.Get()
+	c.W.F, c.W.Shadow, c.W.At = f, sh, 0
+	k.evicts.Run(v, c)
+	k.evicts.Put(c)
 }
 
 // EvictStep implements policy.Kernel: EvictPage as a resumable eviction.
@@ -103,7 +106,10 @@ func (k *Kernel) EvictStep(v *sim.Env, w *policy.EvictWalk) (parked bool) {
 		k.Shadows[vpn] = w.Shadow
 		k.EvictOrder = append(k.EvictOrder, vpn)
 		w.At = 1
-		w.Write = swap.WriteWalk{Slot: k.nextSlot, VPN: int64(vpn)}
+		w.Write.VPN = int64(vpn)
+		if k.Dev != nil {
+			w.Write = swap.WriteWalk{Slot: k.nextSlot, VPN: int64(vpn)}
+		}
 	}
 	if k.Dev != nil {
 		if k.Dev.WriteStep(v, &w.Write) {

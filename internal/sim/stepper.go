@@ -1,66 +1,67 @@
 package sim
 
-// Stepper drives a resumable step (Env.Suspend) over cursors of type T,
-// for the blocking call built on the step. It keeps the cursors of steps
-// that park on the heap, each with its continuation, made once and
-// reused, so the blocking call allocates nothing whether or not its step
-// parks. Set Step before the first call. A Stepper belongs to one
+// Stepper drives a resumable step (Env.Suspend) for the blocking call
+// built on it. Its cursors live on the heap, each with the continuation
+// that steps it, made once and reused, so the blocking call allocates
+// nothing whether or not its step parks. A step that hands its cursor on
+// through an interface method would move a cursor on the caller's stack
+// to the heap on every call; its blocking call runs a Stepper cursor
+// from the start (Get, Run, Put). Any other blocking call runs its step
+// on a stack cursor and only moves it to a Stepper cursor if it parks
+// (Continue). Set Step before the first call. A Stepper belongs to one
 // engine's procs.
 type Stepper[T any] struct {
 	// Step runs the cursor w until it parks the proc, and then reports
 	// true, or until it is over.
 	Step func(v *Env, w *T) (parked bool)
 
-	free []*stepCursor[T]
+	free []*Cursor[T]
 }
 
-// stepCursor is a heap cursor and the continuation that steps it.
-type stepCursor[T any] struct {
-	w    T
+// Cursor is a Stepper's cursor W, with the continuation that steps it.
+type Cursor[T any] struct {
+	W    T
 	v    *Env
 	cont func() bool
+}
+
+// Get returns a cursor for one call, holding whatever a Put left in W;
+// the caller sets W up.
+func (s *Stepper[T]) Get() *Cursor[T] {
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		return c
+	}
+	c := new(Cursor[T])
+	c.cont = func() bool { return s.Step(c.v, &c.W) }
+	return c
+}
+
+// Put keeps c for a later Get.
+func (s *Stepper[T]) Put(c *Cursor[T]) { s.free = append(s.free, c) }
+
+// Run runs the step on c.W until it is over, continuing it inline
+// (Env.Suspend) if it parks.
+func (s *Stepper[T]) Run(v *Env, c *Cursor[T]) {
+	if s.Step(v, &c.W) {
+		s.suspend(v, c)
+	}
 }
 
 // Continue goes on with a step that parked the proc while running the
 // caller's cursor *w: it moves the cursor to the heap, continues the step
 // inline (Env.Suspend) until it is over, and copies the cursor back.
 func (s *Stepper[T]) Continue(v *Env, w *T) {
-	c := s.get(v)
-	c.w = *w
-	v.Suspend(c.cont)
-	*w = c.w
-	s.put(c)
+	c := s.Get()
+	c.W = *w
+	s.suspend(v, c)
+	*w = c.W
+	s.Put(c)
 }
 
-// Run runs the step on a heap copy of w until it is over, continuing it
-// inline (Env.Suspend) if it parks, and returns the final cursor. It is
-// for a step that hands its cursor on through an interface method, which
-// would move a cursor on the caller's stack to the heap on every call.
-func (s *Stepper[T]) Run(v *Env, w T) T {
-	c := s.get(v)
-	c.w = w
-	if s.Step(v, &c.w) {
-		v.Suspend(c.cont)
-	}
-	w = c.w
-	s.put(c)
-	return w
-}
-
-func (s *Stepper[T]) get(v *Env) *stepCursor[T] {
-	var c *stepCursor[T]
-	if n := len(s.free); n > 0 {
-		c = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		c = new(stepCursor[T])
-		c.cont = func() bool { return s.Step(c.v, &c.w) }
-	}
+func (s *Stepper[T]) suspend(v *Env, c *Cursor[T]) {
 	c.v = v
-	return c
-}
-
-func (s *Stepper[T]) put(c *stepCursor[T]) {
+	v.Suspend(c.cont)
 	c.v = nil
-	s.free = append(s.free, c)
 }

@@ -270,7 +270,10 @@ func (m *Manager) RequestAging() { m.agingReq = true }
 // dropped without I/O. It runs the eviction of EvictStep, continuing it
 // inline (sim.Env.Suspend) if it parks.
 func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
-	m.evicts.Run(v, policy.EvictWalk{F: f, Shadow: sh})
+	c := m.evicts.Get()
+	c.W.F, c.W.Shadow, c.W.At = f, sh, 0
+	m.evicts.Run(v, c)
+	m.evicts.Put(c)
 }
 
 // The points of an eviction, in policy.EvictWalk.At.
