@@ -284,7 +284,11 @@ func TestSigstopZombieFencedAcrossProcesses(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond) // let it get into the trial proper
+	// Let it get into the trial proper, but stop it well before the cell
+	// completes: the whole cell simulates in about 40–50 ms on a 2-vCPU
+	// host, and a worker that publishes before the stop leaves nothing to
+	// steal.
+	time.Sleep(5 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
 	}
