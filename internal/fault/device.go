@@ -231,7 +231,9 @@ func (d *Device) overLimit() bool {
 func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	c := d.writes.Get()
 	c.W = swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	d.writes.Run(v, c)
+	if d.WriteStep(v, &c.W) {
+		d.writes.Suspend(v, c)
+	}
 	err := c.W.Err
 	d.writes.Put(c)
 	return err

@@ -545,7 +545,9 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
 	w := c.outs.Get()
 	w.W = c.BeginPageOut(vpn)
-	c.outs.Run(v, w)
+	if c.PageOutStep(v, &w.W) {
+		c.outs.Suspend(v, w)
+	}
 	c.outs.Put(w)
 }
 

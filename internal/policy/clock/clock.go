@@ -137,7 +137,9 @@ func (c *Clock) Reclaim(v *sim.Env, target int) int {
 	}
 	r := c.reclaims.Get()
 	c.startReclaim(&r.W, target)
-	c.reclaims.Run(v, r)
+	if c.reclaimStep(v, &r.W) {
+		c.reclaims.Suspend(v, r)
+	}
 	evicted := r.W.evicted
 	c.reclaims.Put(r)
 	return evicted

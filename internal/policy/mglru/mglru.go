@@ -301,7 +301,9 @@ func (g *MGLRU) Reclaim(v *sim.Env, target int) int {
 	}
 	c := g.reclaims.Get()
 	g.startReclaim(&c.W, target)
-	g.reclaims.Run(v, c)
+	if g.reclaimStep(v, &c.W) {
+		g.reclaims.Suspend(v, c)
+	}
 	evicted := c.W.evicted
 	g.reclaims.Put(c)
 	return evicted

@@ -92,7 +92,9 @@ func (k *Kernel) RequestAging() { k.AgingRequests++ }
 func (k *Kernel) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
 	c := k.evicts.Get()
 	c.W.F, c.W.Shadow, c.W.At = f, sh, 0
-	k.evicts.Run(v, c)
+	if k.EvictStep(v, &c.W) {
+		k.evicts.Suspend(v, c)
+	}
 	k.evicts.Put(c)
 }
 

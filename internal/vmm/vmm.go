@@ -272,7 +272,9 @@ func (m *Manager) RequestAging() { m.agingReq = true }
 func (m *Manager) EvictPage(v *sim.Env, f mem.FrameID, sh policy.Shadow) {
 	c := m.evicts.Get()
 	c.W.F, c.W.Shadow, c.W.At = f, sh, 0
-	m.evicts.Run(v, c)
+	if m.EvictStep(v, &c.W) {
+		m.evicts.Suspend(v, c)
+	}
 	m.evicts.Put(c)
 }
 
