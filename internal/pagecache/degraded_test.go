@@ -213,12 +213,18 @@ func TestPageOutError(t *testing.T) {
 	cfg.Enabled = false
 	h, dev := flakyHarness(t, cfg)
 	dev.failWrites[9] = true
+	dev.failWrites[10] = true
 	h.run(t, func(v *sim.Env) {
 		h.cache.PageOut(v, 9)
+		// The same page-out as the step an eviction carries.
+		w := h.cache.BeginPageOut(10)
+		if h.cache.PageOutStep(v, &w) {
+			v.Suspend(func() bool { return h.cache.PageOutStep(v, &w) })
+		}
 	})
 	st := h.cache.Stats()
-	if st.PageOuts != 1 || st.WriteErrors != 1 || st.DataAtRisk != 1 {
-		t.Fatalf("stats = %+v, want PageOuts=1 WriteErrors=1 DataAtRisk=1", st)
+	if st.PageOuts != 2 || st.WriteErrors != 2 || st.DataAtRisk != 2 {
+		t.Fatalf("stats = %+v, want PageOuts=2 WriteErrors=2 DataAtRisk=2", st)
 	}
 }
 

@@ -257,10 +257,7 @@ type Cache struct {
 
 	stats Stats
 
-	// outs runs PageOut's writes, whose cursors PageOutStep hands on to
-	// the device; extents is flushPass's extent list, reused across
-	// passes.
-	outs    sim.Stepper[swap.WriteWalk]
+	// extents is flushPass's extent list, reused across passes.
 	extents []extent
 
 	tr      *telemetry.Tracer
@@ -280,7 +277,6 @@ func New(cfg Config, eng *sim.Engine, table *pagetable.Table, memry *mem.Memory,
 	dev swap.Device, files []FileSpan) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{cfg: cfg, eng: eng, table: table, memry: memry, dev: dev}
-	c.outs.Step = c.PageOutStep
 	spans := append([]FileSpan(nil), files...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Base < spans[j].Base })
 	for i, s := range spans {
@@ -540,15 +536,10 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
 // before the flusher). The write is scheduled on the backing device with
 // its usual asynchronous semantics; the calling proc may block on
 // writeback backpressure. A write the device fails lands in the file's
-// error ledger instead of failing reclaim. It runs the write of
-// PageOutStep, continuing it inline (sim.Env.Suspend) if it parks.
+// error ledger instead of failing reclaim.
 func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
-	w := c.outs.Get()
-	w.W = c.BeginPageOut(vpn)
-	if c.PageOutStep(v, &w.W) {
-		c.outs.Suspend(v, w)
-	}
-	c.outs.Put(w)
+	w := c.BeginPageOut(vpn)
+	c.writePage(v, w.Slot, w.VPN)
 }
 
 // BeginPageOut accounts a page-out of vpn and returns the write that
@@ -558,11 +549,11 @@ func (c *Cache) BeginPageOut(vpn pagetable.VPN) swap.WriteWalk {
 	return swap.WriteWalk{Slot: c.mustSlot(vpn), VPN: int64(vpn)}
 }
 
-// PageOutStep is PageOut as a resumable write, for a proc running
+// PageOutStep is PageOut's write as a resumable step, for a proc running
 // suspended: it runs the device write w (from BeginPageOut) until the
 // write parks the proc, and then reports true; the caller calls it again
 // with the same w once the proc is continued. It reports false when the
-// page-out is over.
+// page-out is over, its error absorbed as writePage absorbs it.
 func (c *Cache) PageOutStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
 	if c.dev.WriteStep(v, w) {
 		return true
