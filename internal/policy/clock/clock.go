@@ -146,8 +146,8 @@ func (c *Clock) Reclaim(v *sim.Env, target int) int {
 }
 
 // startReclaim sets w up for a pass that evicts up to target pages. The
-// rest of w is set before it is read: the page and the eviction with
-// each candidate, and a lock wait is over before a pass ends.
+// rest of w is set where the pass reaches it (the page, its eviction),
+// and a lock wait is always over when a pass ends.
 func (c *Clock) startReclaim(w *reclaimWalk, target int) {
 	w.at, w.target, w.evicted, w.budget = balanceScan, target, 0, target*c.cfg.ScanBatch
 }

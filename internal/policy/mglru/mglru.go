@@ -310,8 +310,8 @@ func (g *MGLRU) Reclaim(v *sim.Env, target int) int {
 }
 
 // startReclaim sets w up for a pass that evicts up to target pages. The
-// rest of w is set before it is read: the candidate, its eviction and
-// any walk with each candidate, and a lock wait is over before a pass
+// rest of w is set where the pass reaches it (the candidate, its
+// eviction, an aging walk), and a lock wait is always over when a pass
 // ends.
 func (g *MGLRU) startReclaim(w *reclaimWalk, target int) {
 	w.at, w.target, w.evicted, w.shielded = reclaimScan, target, 0, 0
