@@ -27,6 +27,7 @@ package serve
 
 import (
 	"math"
+	"sync"
 
 	"mglrusim/internal/sim"
 	"mglrusim/internal/workload"
@@ -116,6 +117,11 @@ type Serve struct {
 	index    workload.Segment
 	sessions workload.Segment
 	scratch  workload.Segment
+	// keys builds the object and session generators (sessions nil
+	// without sessions) on the first Threads call. A Zipfian is
+	// immutable, so every thread of every trial shares them rather than
+	// summing zeta(n) again.
+	keys func() (objects, sessions *workload.Zipfian)
 }
 
 // New builds the workload.
@@ -136,6 +142,13 @@ func New(cfg Config) *Serve {
 		cfg.SessionTheta = 0.8
 	}
 	w := &Serve{cfg: cfg, AddrSpace: workload.NewAddrSpace(cfg.RegionPTEs)}
+	w.keys = sync.OnceValues(func() (objects, sessions *workload.Zipfian) {
+		objects = workload.NewScrambledZipfian(int64(cfg.Objects), cfg.Theta)
+		if cfg.Sessions > 0 {
+			sessions = workload.NewScrambledZipfian(int64(cfg.Sessions), cfg.SessionTheta)
+		}
+		return objects, sessions
+	})
 	idxPages := (cfg.Objects + idxEntriesPerPage - 1) / idxEntriesPerPage
 	// The object store is the file-backed segment: served media,
 	// incompressible. Index and scratch are the anon competitors.
@@ -183,21 +196,19 @@ func (w *Serve) Threads(plan, trial *sim.RNG) []workload.Stream {
 	}
 
 	n := w.cfg.Threads
+	objects, sessions := w.keys()
 	streams := make([]workload.Stream, n)
 	for tid := 0; tid < n; tid++ {
 		reqs := w.cfg.Requests*(tid+1)/n - w.cfg.Requests*tid/n
-		st := &stream{
-			w:      w,
-			tid:    tid,
-			zipf:   workload.NewScrambledZipfian(int64(w.cfg.Objects), w.cfg.Theta),
-			rng:    trial.Stream(uint64(tid) + 911),
-			bursts: bursts,
-			total:  reqs,
+		streams[tid] = &stream{
+			w:        w,
+			tid:      tid,
+			zipf:     objects,
+			sessZipf: sessions,
+			rng:      trial.Stream(uint64(tid) + 911),
+			bursts:   bursts,
+			total:    reqs,
 		}
-		if w.cfg.Sessions > 0 {
-			st.sessZipf = workload.NewScrambledZipfian(int64(w.cfg.Sessions), w.cfg.SessionTheta)
-		}
-		streams[tid] = st
 	}
 	return streams
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"testing"
 
 	"mglrusim/internal/sim"
@@ -151,4 +152,32 @@ func FuzzServeWorkload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTrialsShareOneKeyGenerator calls Threads from concurrent
+// trials, as the experiment runner does: every stream of every trial
+// draws from the one generator the workload builds on first use.
+func TestTrialsShareOneKeyGenerator(t *testing.T) {
+	w := New(smallConfig())
+	trials := make([][]workload.Stream, 4)
+	var wg sync.WaitGroup
+	for i := range trials {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trials[i] = w.Threads(sim.NewRNG(1), sim.NewRNG(uint64(i)))
+		}()
+	}
+	wg.Wait()
+	first := trials[0][0].(*stream)
+	if first.zipf == nil || first.sessZipf == nil {
+		t.Fatal("no generator built")
+	}
+	for i, streams := range trials {
+		for tid, s := range streams {
+			if st := s.(*stream); st.zipf != first.zipf || st.sessZipf != first.sessZipf {
+				t.Fatalf("trial %d thread %d has a generator of its own", i, tid)
+			}
+		}
+	}
 }

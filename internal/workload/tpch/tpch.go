@@ -9,6 +9,8 @@
 package tpch
 
 import (
+	"sync"
+
 	"mglrusim/internal/pagetable"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/workload"
@@ -67,6 +69,10 @@ type TPCH struct {
 	cfg Config
 
 	input, lineitem, orders, customer, hash workload.Segment
+	// probes builds the probe-target generator (nil when ProbeTheta is
+	// 0) on the first Threads call. A Zipfian is immutable, so every
+	// thread of every trial shares one rather than summing zeta(n) again.
+	probes func() *workload.Zipfian
 }
 
 // New builds the workload from cfg.
@@ -80,6 +86,16 @@ func New(cfg Config) *TPCH {
 	w.orders = w.Add("orders", cfg.OrdersPages, false, zram.ClassStructured)
 	w.customer = w.Add("customer", cfg.CustomerPages, false, zram.ClassStructured)
 	w.hash = w.Add("hash", cfg.HashPages, false, zram.ClassZeroHeavy)
+	w.probes = sync.OnceValue(func() *workload.Zipfian {
+		if cfg.ProbeTheta <= 0 {
+			return nil
+		}
+		// Plain (unscrambled) zipfian: hot join keys cluster at the
+		// front of the build region, as hash-partitioned builds
+		// co-locate popular rows. The clustering is what gives the
+		// aging walk's region-level filters something to find.
+		return workload.NewZipfian(int64(w.hash.Pages), cfg.ProbeTheta)
+	})
 	return w
 }
 
@@ -204,16 +220,9 @@ func (w *TPCH) Threads(plan, trial *sim.RNG) []workload.Stream {
 		})
 	}
 
+	zipf := w.probes()
 	streams := make([]workload.Stream, n)
 	for tid := 0; tid < n; tid++ {
-		var zipf *workload.Zipfian
-		if w.cfg.ProbeTheta > 0 {
-			// Plain (unscrambled) zipfian: hot join keys cluster at the
-			// front of the build region, as hash-partitioned builds
-			// co-locate popular rows. The clustering is what gives the
-			// aging walk's region-level filters something to find.
-			zipf = workload.NewZipfian(int64(w.hash.Pages), w.cfg.ProbeTheta)
-		}
 		streams[tid] = &stream{phases: perThread[tid], rng: plan.Stream(uint64(tid) + 101), zipf: zipf}
 	}
 	return streams

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"sync"
 	"testing"
 
 	"mglrusim/internal/pagetable"
@@ -206,5 +207,33 @@ func TestTotalWorkIdenticalAcrossTrials(t *testing.T) {
 	}
 	if a, b := total(1), total(2); a != b {
 		t.Fatalf("total accesses differ across trials: %d vs %d", a, b)
+	}
+}
+
+// TestTrialsShareOneProbeGenerator calls Threads from concurrent
+// trials, as the experiment runner does: every stream of every trial
+// draws from the one generator the workload builds on first use.
+func TestTrialsShareOneProbeGenerator(t *testing.T) {
+	w := New(DefaultConfig())
+	trials := make([][]workload.Stream, 4)
+	var wg sync.WaitGroup
+	for i := range trials {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trials[i] = w.Threads(sim.NewRNG(1), sim.NewRNG(uint64(i)))
+		}()
+	}
+	wg.Wait()
+	first := trials[0][0].(*stream)
+	if first.zipf == nil {
+		t.Fatal("no generator built")
+	}
+	for i, streams := range trials {
+		for tid, s := range streams {
+			if s.(*stream).zipf != first.zipf {
+				t.Fatalf("trial %d thread %d has a generator of its own", i, tid)
+			}
+		}
 	}
 }

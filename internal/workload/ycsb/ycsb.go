@@ -13,6 +13,7 @@ package ycsb
 
 import (
 	"fmt"
+	"sync"
 
 	"mglrusim/internal/kvstore"
 	"mglrusim/internal/pagetable"
@@ -95,6 +96,10 @@ type YCSB struct {
 
 	cfg   Config
 	store *kvstore.Store
+	// keys builds the key generator on the first Threads call. A
+	// Zipfian is immutable, so every thread of every trial shares one
+	// rather than summing zeta(n) again.
+	keys func() *workload.Zipfian
 }
 
 // New builds the workload.
@@ -109,6 +114,9 @@ func New(cfg Config) *YCSB {
 	// is laid out; ContentClass distinguishes the incompressible values.
 	seg := w.Add("kvstore", probe.Pages(), false, zram.ClassStructured)
 	w.store = kvstore.New(sc, seg.Base)
+	w.keys = sync.OnceValue(func() *workload.Zipfian {
+		return workload.NewScrambledZipfian(int64(cfg.Items), cfg.Theta)
+	})
 	return w
 }
 
@@ -136,6 +144,7 @@ func (w *YCSB) Store() *kvstore.Store { return w.store }
 // generator's connections would deliver it.
 func (w *YCSB) Threads(plan, trial *sim.RNG) []workload.Stream {
 	n := w.cfg.Threads
+	zipf := w.keys()
 	streams := make([]workload.Stream, n)
 	for tid := 0; tid < n; tid++ {
 		lf := w.cfg.Items * tid / n
@@ -143,7 +152,7 @@ func (w *YCSB) Threads(plan, trial *sim.RNG) []workload.Stream {
 		reqs := w.cfg.Requests*(tid+1)/n - w.cfg.Requests*tid/n
 		streams[tid] = &stream{
 			w:       w,
-			zipf:    workload.NewScrambledZipfian(int64(w.cfg.Items), w.cfg.Theta),
+			zipf:    zipf,
 			rng:     trial.Stream(uint64(tid) + 577),
 			loadKey: lf,
 			loadEnd: lt,

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"sync"
 	"testing"
 
 	"mglrusim/internal/pagetable"
@@ -171,6 +172,34 @@ func TestDeterministicStreams(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("op %d differs", i)
+		}
+	}
+}
+
+// TestTrialsShareOneKeyGenerator calls Threads from concurrent
+// trials, as the experiment runner does: every stream of every trial
+// draws from the one generator the workload builds on first use.
+func TestTrialsShareOneKeyGenerator(t *testing.T) {
+	w := New(small(MixA))
+	trials := make([][]workload.Stream, 4)
+	var wg sync.WaitGroup
+	for i := range trials {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trials[i] = w.Threads(sim.NewRNG(1), sim.NewRNG(uint64(i)))
+		}()
+	}
+	wg.Wait()
+	first := trials[0][0].(*stream)
+	if first.zipf == nil {
+		t.Fatal("no generator built")
+	}
+	for i, streams := range trials {
+		for tid, s := range streams {
+			if s.(*stream).zipf != first.zipf {
+				t.Fatalf("trial %d thread %d has a generator of its own", i, tid)
+			}
 		}
 	}
 }
