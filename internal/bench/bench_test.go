@@ -2,8 +2,8 @@
 // the fault/evict cycle, MG-LRU aging walks, Clock's scan, rmap chases,
 // the page cache, telemetry spans, a full-scale-geometry fault path, the
 // engine's switch from one proc to another (by coroutine and by an inline
-// step), a ZRAM swap-out, the decode of a checkpointed series and the tail
-// percentiles of a merged fault series.
+// step), a ZRAM swap-out, the decode of a checkpointed series, the tail
+// percentiles of a merged fault series and a YCSB key draw.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/bench
 //
@@ -34,6 +34,7 @@ import (
 	"mglrusim/internal/stats"
 	"mglrusim/internal/swap"
 	"mglrusim/internal/telemetry"
+	"mglrusim/internal/workload"
 	"mglrusim/internal/zram"
 )
 
@@ -131,6 +132,11 @@ func BenchmarkMergedTail(b *testing.B) {
 	benchMergedTail(b.N, b.ResetTimer)
 }
 
+func BenchmarkZipfianNext(b *testing.B) {
+	b.ReportAllocs()
+	benchZipfianNext(b.N, b.ResetTimer)
+}
+
 // TestSuiteRunsTiny runs every benchmark body at a small op count, so a
 // plain `go test` exercises each hot path the benchmarks time.
 func TestSuiteRunsTiny(t *testing.T) {
@@ -160,6 +166,7 @@ func TestSuiteRunsTiny(t *testing.T) {
 		{"zram-write", benchZRAMWrite, 16},
 		{"series-decode", benchSeriesDecode, 2},
 		{"merged-tail", benchMergedTail, 2},
+		{"zipf-draw", benchZipfianNext, 16},
 	}
 	for _, s := range suite {
 		t.Run(s.name, func(t *testing.T) { s.fn(s.ops, func() {}) })
@@ -720,3 +727,17 @@ func benchMergedTail(n int, reset func()) {
 
 // tailSink keeps the compiler from dropping the timed call.
 var tailSink []float64
+
+// benchZipfianNext draws YCSB keys: a scrambled Zipfian at theta 0.99
+// over ycsb's scale-1 item count.
+func benchZipfianNext(n int, reset func()) {
+	z := workload.NewScrambledZipfian(14000, workload.YCSBTheta)
+	rng := sim.NewRNG(5)
+	reset()
+	for i := 0; i < n; i++ {
+		keySink += z.Next(rng)
+	}
+}
+
+// keySink keeps the compiler from dropping the timed draws.
+var keySink int64
