@@ -34,6 +34,7 @@ import (
 	"mglrusim/internal/stats"
 	"mglrusim/internal/swap"
 	"mglrusim/internal/telemetry"
+	"mglrusim/internal/vmm"
 	"mglrusim/internal/workload"
 	"mglrusim/internal/zram"
 )
@@ -374,20 +375,23 @@ func benchCache(k *policytestutil.Kernel, eng *sim.Engine) *pagecache.Cache {
 }
 
 // benchFileFaultPath is benchFaultPath with every page file-backed under
-// default MG-LRU: each miss pays the cache's demand-read service and
-// shadow handoff, each eviction records a shadow and pages out if dirty —
-// the full file major-fault cycle the ext2 figures spend their time in.
+// default MG-LRU: each miss takes the page's shadow from the vmm's store
+// and pays the cache's demand-read service, each eviction records a
+// shadow and pages out if dirty — the full file major-fault cycle the
+// ext2 figures spend their time in.
 func benchFileFaultPath(n int, reset func()) {
 	k := policytestutil.New(benchFrames, benchRegions, 7)
 	p := mglru.New(mglru.Default())
 	p.Attach(k)
 	eng := sim.NewEngine(4)
 	c := benchCache(k, eng)
+	shadows := vmm.NewShadows(k.T.Pages())
 	// An eviction hook must not block, so a dirty page's write waits
 	// for its Reclaim to return.
 	var dirty []pagetable.VPN
 	k.OnEvict = func(v *sim.Env, vpn pagetable.VPN, sh policypkg.Shadow) {
-		c.RecordEviction(vpn, sh)
+		shadows.Record(vpn, sh)
+		c.RecordEviction(vpn)
 		if c.ClearDirty(vpn) {
 			dirty = append(dirty, vpn)
 		}
@@ -412,9 +416,12 @@ func benchFileFaultPath(n int, reset func()) {
 				}
 				dirty = dirty[:0]
 			}
-			c.TakeShadow(vpn)
+			refault := shadows.Take(vpn) != nil
 			c.ReadPage(v, vpn)
-			c.NoteResident(vpn)
+			c.NoteResident(vpn, refault)
+			if refault {
+				c.NoteRefault()
+			}
 			k.FaultIn(v, p, vpn, false, true)
 		}
 	})
@@ -449,26 +456,24 @@ func benchWritebackCluster(n int, reset func()) {
 	}
 }
 
-// benchRefaultShadowLookup measures the shadow-entry arena: each op is
-// one HasShadow probe plus a TakeShadow consume and a RecordEviction
-// refill, over a fully populated shadow set — the per-fault overhead
-// refault classification adds to every file page-in.
+// benchRefaultShadowLookup measures the vmm's shadow-entry store: each
+// op is one Has probe plus a Take consume and a Record refill, over a
+// fully populated store — the per-fault overhead refault classification
+// adds to every page-in.
 func benchRefaultShadowLookup(n int, reset func()) {
-	k := policytestutil.New(benchFrames, benchRegions, 7)
-	eng := sim.NewEngine(4)
-	c := benchCache(k, eng)
-	pages := k.T.Pages()
+	pages := benchRegions * pagetable.PTEsPerRegion
+	shadows := vmm.NewShadows(pages)
 	for i := 0; i < pages; i++ {
-		c.RecordEviction(pagetable.VPN(i), policypkg.Shadow{Gen: uint64(i), Tier: uint8(i % 4)})
+		shadows.Record(pagetable.VPN(i), policypkg.Shadow{Gen: uint64(i), Tier: uint8(i % 4)})
 	}
 	reset()
 	for i := 0; i < n; i++ {
 		vpn := pagetable.VPN((i * 31) % pages)
-		if !c.HasShadow(vpn) {
+		if !shadows.Has(vpn) {
 			panic("bench: shadow set should stay fully populated")
 		}
-		sh := c.TakeShadow(vpn)
-		c.RecordEviction(vpn, *sh)
+		sh := shadows.Take(vpn)
+		shadows.Record(vpn, *sh)
 	}
 }
 

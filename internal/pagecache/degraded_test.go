@@ -358,8 +358,8 @@ func TestReadaheadAbandonAccounting(t *testing.T) {
 	cfg := pagecache.DefaultConfig()
 	cfg.Enabled = false
 	h, _ := flakyHarness(t, cfg)
-	h.cache.NoteResident(11)
-	h.cache.NoteResident(12)
+	h.cache.NoteResident(11, false)
+	h.cache.NoteResident(12, false)
 	h.cache.AbandonResident(12)
 	if got := h.cache.ResidentFilePages(); got != 1 {
 		t.Fatalf("ResidentFilePages = %d, want 1", got)

@@ -2,7 +2,7 @@
 // beside anonymous memory: per-file address-space mappings over the
 // shared page table, read/write-through against a backing block device
 // on fault, dirty tracking with clustered writeback by a virtual-time
-// flusher daemon, and shadow-entry refault tracking on eviction.
+// flusher daemon, and eviction and refault accounting.
 //
 // The model follows the Linux page cache (and the page-cache simulation
 // literature the ROADMAP cites): a file page's backing location is fixed
@@ -20,9 +20,10 @@
 // errseq-style ledger.
 //
 // The cache never owns frames or PTEs; internal/vmm remains the only
-// writer of both. It owns what the kernel's address_space owns: the
-// file-offset mapping, the dirty set, the writeback schedule, and the
-// shadow entries left behind by evicted file pages.
+// writer of both, and it keeps the shadow entries of file pages in the
+// one store it keeps for anon pages. The cache owns the rest of what the
+// kernel's address_space owns: the file-offset mapping, the dirty set and
+// the writeback schedule.
 package pagecache
 
 import (
@@ -32,7 +33,6 @@ import (
 
 	"mglrusim/internal/mem"
 	"mglrusim/internal/pagetable"
-	"mglrusim/internal/policy"
 	"mglrusim/internal/sim"
 	"mglrusim/internal/swap"
 	"mglrusim/internal/telemetry"
@@ -207,11 +207,6 @@ type FileErrors struct {
 	DataAtRisk uint64
 }
 
-type shadowEntry struct {
-	sh    policy.Shadow
-	valid bool
-}
-
 type mapping struct {
 	FileSpan
 	slotBase swap.Slot
@@ -248,12 +243,9 @@ type Cache struct {
 	// fileErrs parallels files: the per-file errseq ledgers.
 	fileErrs []FileErrors
 
-	// shadows is indexed by backing slot (dense over file pages, unlike
-	// the vmm's per-VPN arena over the whole VA span).
-	shadows    *mem.Arena[shadowEntry]
-	shadowLive int
-
-	resident int
+	// resident counts installed file pages, shadows the file pages'
+	// live shadow entries in the vmm's store.
+	resident, shadows int
 
 	stats Stats
 
@@ -293,7 +285,6 @@ func New(cfg Config, eng *sim.Engine, table *pagetable.Table, memry *mem.Memory,
 		c.totalPages += s.Pages
 	}
 	c.dirty = make([]uint64, (c.totalPages+63)/64)
-	c.shadows = mem.NewArena[shadowEntry](c.totalPages, 1024)
 	c.threshold = int(cfg.DirtyRatio * float64(memry.Size()))
 	if c.threshold < 1 {
 		c.threshold = 1
@@ -409,8 +400,17 @@ func (c *Cache) NotePoisonedFault() { c.stats.PoisonedFaults++ }
 func (c *Cache) PoisonedPages() int { return c.poisonedCount }
 
 // NoteResident records that a file page was installed (demand fault or
-// readahead).
-func (c *Cache) NoteResident(vpn pagetable.VPN) { c.resident++ }
+// readahead); shadow reports that the install took the page's shadow
+// entry out of the vmm's store.
+func (c *Cache) NoteResident(vpn pagetable.VPN, shadow bool) {
+	c.resident++
+	if shadow {
+		c.shadows--
+	}
+}
+
+// NoteRefault counts a demand fault that found the page's shadow entry.
+func (c *Cache) NoteRefault() { c.stats.Refaults++ }
 
 // AbandonResident undoes a NoteResident for a readahead page torn back
 // out after its speculative read failed, and accounts the abort.
@@ -518,18 +518,12 @@ func (c *Cache) ThrottleWriter(v *sim.Env) {
 
 // --- eviction and refault ---
 
-// RecordEviction stores the policy shadow for an evicted file page. The
-// entry is consumed by the next TakeShadow on the same page; its
-// presence there is what classifies that fault as a refault.
-func (c *Cache) RecordEviction(vpn pagetable.VPN, sh policy.Shadow) {
-	slot := c.mustSlot(vpn)
-	e := c.shadows.At(int(slot))
-	if !e.valid {
-		c.shadowLive++
-	}
-	*e = shadowEntry{sh: sh, valid: true}
+// RecordEviction accounts an evicted file page, whose shadow entry the
+// vmm has recorded.
+func (c *Cache) RecordEviction(vpn pagetable.VPN) {
 	c.stats.Evictions++
 	c.resident--
+	c.shadows++
 }
 
 // PageOut writes a dirty page back at eviction time (reclaim reached it
@@ -588,49 +582,6 @@ func (c *Cache) absorb(slot swap.Slot, vpn int64, err error) {
 		c.tr.Instant(c.trTrack, "writeback-error", vpn)
 	}
 }
-
-// TakeShadow consumes and returns vpn's shadow entry, or nil if the page
-// has never been evicted (or its shadow was already consumed). A hit
-// counts as a refault.
-func (c *Cache) TakeShadow(vpn pagetable.VPN) *policy.Shadow {
-	slot := c.mustSlot(vpn)
-	if !c.shadows.Peek(int(slot)).valid {
-		return nil
-	}
-	e := c.shadows.At(int(slot))
-	e.valid = false
-	c.shadowLive--
-	c.stats.Refaults++
-	sh := e.sh
-	return &sh
-}
-
-// DropShadow discards vpn's shadow entry without counting a refault —
-// the readahead path: a speculative read-in is not evidence the
-// eviction was premature. Reports whether an entry was dropped.
-func (c *Cache) DropShadow(vpn pagetable.VPN) bool {
-	slot := c.mustSlot(vpn)
-	if !c.shadows.Peek(int(slot)).valid {
-		return false
-	}
-	e := c.shadows.At(int(slot))
-	e.valid = false
-	c.shadowLive--
-	return true
-}
-
-// HasShadow reports whether vpn currently holds a shadow entry, without
-// consuming it (auditor use).
-func (c *Cache) HasShadow(vpn pagetable.VPN) bool {
-	slot, ok := c.SlotOf(vpn)
-	if !ok {
-		return false
-	}
-	return c.shadows.Peek(int(slot)).valid
-}
-
-// ShadowCount reports live shadow entries (auditor use).
-func (c *Cache) ShadowCount() int { return c.shadowLive }
 
 func (c *Cache) mustSlot(vpn pagetable.VPN) swap.Slot {
 	slot, ok := c.SlotOf(vpn)
@@ -780,7 +731,7 @@ func (c *Cache) RegisterTelemetry(tr *telemetry.Tracer) {
 	c.trTrack = tr.Track("pagecache")
 	tr.Gauge("pagecache.resident", func() int64 { return int64(c.resident) })
 	tr.Gauge("pagecache.dirty", func() int64 { return int64(c.dirtyCount) })
-	tr.Gauge("pagecache.shadows", func() int64 { return int64(c.shadowLive) })
+	tr.Gauge("pagecache.shadows", func() int64 { return int64(c.shadows) })
 	tr.Gauge("pagecache.reads", func() int64 { return int64(c.stats.Reads) })
 	tr.Gauge("pagecache.writeback_pages", func() int64 { return int64(c.stats.WritebackPages) })
 	tr.Gauge("pagecache.extents", func() int64 { return int64(c.stats.Extents) })

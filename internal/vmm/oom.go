@@ -73,9 +73,7 @@ func (m *Manager) reapRegion(r int) {
 		m.dev.FreeSlot(slot)
 		m.area.Free(slot)
 		*m.slotOwner.At(int(slot)) = -1
-		if m.shadows.Peek(int(vpn)).valid {
-			*m.shadows.At(int(vpn)) = shadowEntry{}
-		}
+		m.shadows.Drop(vpn)
 		if m.audit != nil {
 			m.audit.Reaped(vpn)
 		}
