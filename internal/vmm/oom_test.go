@@ -112,6 +112,9 @@ func TestOOMReapSurvivesAudit(t *testing.T) {
 	if r.m.Counters().OOMKills == 0 {
 		t.Fatal("scenario did not exercise the OOM path")
 	}
+	if err := r.m.AuditErr(); err != nil {
+		t.Fatalf("audited OOM run flagged: %v", err)
+	}
 }
 
 // TestOOMErrorWhenNothingReapable: a degenerate area too small for even
