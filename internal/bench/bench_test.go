@@ -398,6 +398,10 @@ func benchFileFaultPath(n int, reset func()) {
 	}
 	pages := pagetable.VPN(k.T.Pages())
 	eng.Spawn("bench", false, func(v *sim.Env) {
+		// One cursor and step for every page-out, so a page-out
+		// allocates nothing.
+		var w swap.WriteWalk
+		pageOut := func() bool { return c.PageOutStep(v, &w) }
 		reset()
 		for i := 0; i < n; i++ {
 			vpn := pagetable.VPN(i) % pages
@@ -412,7 +416,10 @@ func benchFileFaultPath(n int, reset func()) {
 					p.Age(v)
 				}
 				for _, d := range dirty {
-					c.PageOut(v, d)
+					w = c.BeginPageOut(d)
+					if pageOut() {
+						v.Suspend(pageOut)
+					}
 				}
 				dirty = dirty[:0]
 			}
@@ -643,10 +650,18 @@ func benchZRAMWrite(n int, reset func()) {
 	d := swap.NewZRAM(swap.DefaultZRAMConfig(), sim.NewRNG(11),
 		func(vpn int64) zram.ContentClass { return zram.ContentClass(vpn % 3) })
 	policytestutil.Run(func(v *sim.Env) {
+		// One cursor and step for every write, so a write allocates
+		// nothing.
+		var w swap.WriteWalk
+		step := func() bool { return d.WriteStep(v, &w) }
 		write := func(i int) {
 			slot := swap.Slot(i % 64)
-			if err := d.WritePage(v, slot, int64(i%contents), 1); err != nil {
-				panic(err)
+			w = swap.WriteWalk{Slot: slot, VPN: int64(i % contents), Version: 1}
+			if step() {
+				v.Suspend(step)
+			}
+			if w.Err != nil {
+				panic(w.Err)
 			}
 			d.FreeSlot(slot)
 		}

@@ -71,10 +71,6 @@ type Device struct {
 	maxWBackoff sim.Duration // write-retry backoff cap
 	stats       Stats
 
-	// writes runs WritePage's writes, whose cursors WriteStep hands on
-	// to the wrapped medium.
-	writes sim.Stepper[swap.WriteWalk]
-
 	tr      *telemetry.Tracer
 	trTrack telemetry.TrackID // the fault plane's own lane
 }
@@ -111,7 +107,6 @@ func Wrap(inner swap.Device, plan Plan, backing swap.Device, rng *sim.RNG) *Devi
 	if plan.NeedsBacking() && backing != nil {
 		d.writtenBack = make(map[swap.Slot]struct{}, 256)
 	}
-	d.writes.Step = d.WriteStep
 	return d
 }
 
@@ -222,23 +217,6 @@ func (d *Device) overLimit() bool {
 	return cfg.Enabled() && d.inner.Stats().CompressedBytes >= cfg.MemLimitBytes
 }
 
-// WritePage implements Device: storm delay, then either the inner write
-// or — when the compressed pool is over its mem limit — a writeback to
-// the backing SSD or a reclaim stall. Injected write errors are retried
-// with backoff; past the budget it returns a *HardError. With WriteErrors
-// unconfigured no coins are flipped. It runs the write of WriteStep,
-// continuing it inline (sim.Env.Suspend) if it parks.
-func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	c := d.writes.Get()
-	c.W = swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if d.WriteStep(v, &c.W) {
-		d.writes.Suspend(v, c)
-	}
-	err := c.W.Err
-	d.writes.Put(c)
-	return err
-}
-
 // The points of a wrapped write, in WriteWalk.WrapAt. The wrapped
 // medium keeps its own point in WriteWalk.At.
 const (
@@ -248,7 +226,12 @@ const (
 	wrapBackoff        // the backoff after a failed attempt is over
 )
 
-// WriteStep implements Device: WritePage as a resumable write.
+// WriteStep implements Device: storm delay, then either the inner write
+// or — when the compressed pool is over its mem limit — a writeback to
+// the backing SSD or a reclaim stall. Injected write errors are retried
+// with backoff; past the budget w.Err is a *HardError. With WriteErrors
+// unconfigured no coins are flipped. The wrapped medium's write runs on
+// the same cursor w.
 func (d *Device) WriteStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
 	for {
 		switch w.WrapAt {

@@ -65,7 +65,7 @@ func runOpScript(t *testing.T, name string) string {
 	e.Spawn("ops", false, func(v *sim.Env) {
 		for i := 0; i < 600; i++ {
 			slot := swap.Slot(i % 32)
-			note(v, d.WritePage(v, slot, int64(i), uint32(i)))
+			note(v, writePage(v, d, slot, int64(i), uint32(i)))
 			note(v, d.ReadPage(v, swap.Slot((i*7)%32), int64(i), uint32(i)))
 			note(v, d.PrefetchPage(v, swap.Slot((i*7+1)%32), int64(i+1), uint32(i)))
 			v.Sleep(5 * sim.Millisecond)

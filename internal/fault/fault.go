@@ -5,9 +5,9 @@
 // writeback-to-SSD fallback or reclaim stall, and swap-area exhaustion
 // (which drives the OOM-killer model in internal/vmm). Wrap applies it to
 // the swap device and WrapFile to the page cache's file backing device.
-// A wrapper's ReadPage, WritePage and PrefetchPage return a *HardError
-// when an I/O fails past its retry budget; the caller decides whether
-// that fails the trial (the swap path) or degrades (the page cache).
+// A wrapper's I/O that fails past its retry budget ends in a *HardError
+// (WriteStep's in WriteWalk.Err); the caller decides whether that fails
+// the trial (the swap path) or degrades (the page cache).
 //
 // Everything is seeded: storm arrival times, storm durations, per-I/O
 // extra latency, and read-error coin flips all draw from one RNG stream in

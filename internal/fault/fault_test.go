@@ -169,7 +169,7 @@ func TestZRAMWritebackFallback(t *testing.T) {
 	d := zramRig(e, sim.NewRNG(5), plan, true)
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < 16; i++ {
-			d.WritePage(v, swap.Slot(i), int64(i), 0)
+			writePage(v, d, swap.Slot(i), int64(i), 0)
 		}
 		d.Drain(v)
 		for i := 0; i < 16; i++ {
@@ -213,7 +213,7 @@ func TestZRAMPoolStall(t *testing.T) {
 	var end sim.Time
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < 8; i++ {
-			d.WritePage(v, swap.Slot(i), int64(i), 0)
+			writePage(v, d, swap.Slot(i), int64(i), 0)
 		}
 		end = v.Now()
 	})

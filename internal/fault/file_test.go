@@ -59,7 +59,7 @@ func writeScenario(t *testing.T, seed uint64, plan Plan, n int) ([]sim.Time, Sta
 	var firstErr error
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < n; i++ {
-			if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
+			if err := writePage(v, d, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			ends = append(ends, v.Now())
@@ -89,8 +89,8 @@ func TestTransientWriteErrorsRetry(t *testing.T) {
 	}
 }
 
-// TestHardWriteErrorReturned: WritePage must RETURN the typed hard error
-// rather than panic — the page cache turns it into an errseq ledger
+// TestHardWriteErrorReturned: a write past its retry budget must end
+// with the typed hard error in WriteWalk.Err rather than panic — the page cache turns it into an errseq ledger
 // entry, not a dead trial.
 func TestHardWriteErrorReturned(t *testing.T) {
 	_, stats, err := writeScenario(t, 8, Plan{WriteErrors: WriteErrorConfig{
@@ -160,7 +160,7 @@ func TestZeroPlanTransparency(t *testing.T) {
 		var ends []sim.Time
 		e.Spawn("mixed", false, func(v *sim.Env) {
 			for i := 0; i < 100; i++ {
-				dev.WritePage(v, swap.Slot(i%8), int64(i), 0)
+				writePage(v, dev, swap.Slot(i%8), int64(i), 0)
 				dev.ReadPage(v, swap.Slot(i%8), int64(i), 0)
 				dev.PrefetchPage(v, swap.Slot((i+1)%8), int64(i+1), 0)
 				ends = append(ends, v.Now())
@@ -194,7 +194,7 @@ func TestZeroPlanTransparency(t *testing.T) {
 
 // TestErrVariantTimingParity: the swap wrapper (Wrap) and the file
 // wrapper (WrapFile) must draw the same RNG sequence and charge the same
-// latency for ReadPage and WritePage, so one implementation serves both
+// latency for ReadPage and WriteStep, so one implementation serves both
 // planes. They differ only on PrefetchPage: the swap wrapper flips no
 // read-error coin — it returns nil and draws nothing, even at Prob 1 —
 // while the file wrapper flips exactly one.
@@ -218,7 +218,7 @@ func TestErrVariantTimingParity(t *testing.T) {
 		var ends []sim.Time
 		e.Spawn("io", false, func(v *sim.Env) {
 			for i := 0; i < 200; i++ {
-				if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil {
+				if err := writePage(v, d, swap.Slot(i%8), int64(i), 0); err != nil {
 					t.Errorf("unexpected hard write error: %v", err)
 				}
 				if err := d.ReadPage(v, swap.Slot(i%8), int64(i), 0); err != nil {

@@ -40,9 +40,19 @@ func (d *Device) referenceStormDelay(v *sim.Env) {
 	v.Sleep(extra)
 }
 
+// writePage is a blocking write through d.WriteStep: the step runs on
+// the proc's stack, and continues inline (sim.Env.Suspend) if it parks.
+func writePage(v *sim.Env, d swap.Device, slot swap.Slot, vpn int64, version uint32) error {
+	w := swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	if d.WriteStep(v, &w) {
+		v.Suspend(func() bool { return d.WriteStep(v, &w) })
+	}
+	return w.Err
+}
+
 // referenceWritePage is the wrapped write as a plain blocking call: the
 // storm delay, the pool stall and the retry backoffs are blocking sleeps
-// and the target's write a blocking WritePage. It is the reference the
+// and the target's write a blocking writePage. It is the reference the
 // resumable write is held to (TestWrappedWriteMatchesReference).
 func (d *Device) referenceWritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	d.referenceStormDelay(v)
@@ -76,7 +86,7 @@ func (d *Device) referenceWritePage(v *sim.Env, slot swap.Slot, vpn int64, versi
 	cfg := d.plan.WriteErrors
 	backoff := cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		if err := target.WritePage(v, slot, vpn, version); err != nil {
+		if err := writePage(v, target, slot, vpn, version); err != nil {
 			return err
 		}
 		if !cfg.Enabled() || !d.rng.Bool(cfg.Prob) {

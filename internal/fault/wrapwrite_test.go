@@ -15,19 +15,19 @@ import (
 // How a wrappedWriteScenario's procs write.
 const (
 	writeReference = iota // blocking referenceWritePage
-	writeBlocking         // WritePage
+	writeBlocking         // writePage, blocking through WriteStep
 	writeStepped          // suspended, through WriteStep
 )
 
 // wrappedWriteScenario runs three procs on two CPUs that charge CPU,
-// read and write pages on the wrapped device mk makes (traced), each
+// read and write pages on the device mk wraps in plan (traced), each
 // write the given way, and returns a log of every write with its time
 // and error, then the device's stats, what it injected and its trace.
-func wrappedWriteScenario(mk func(e *sim.Engine, rng *sim.RNG) *Device, seed uint64, mode int) string {
+func wrappedWriteScenario(mk func(e *sim.Engine, rng *sim.RNG, plan Plan) *Device, plan Plan, seed uint64, mode int) string {
 	e := sim.NewEngine(2)
 	e.SetQuantum(10 * sim.Microsecond)
 	rng := sim.NewRNG(seed)
-	d := mk(e, rng.Stream(9))
+	d := mk(e, rng.Stream(9), plan)
 	tr := telemetry.New(telemetry.Config{})
 	tr.Bind(e.Now)
 	d.SetTracer(tr)
@@ -36,7 +36,7 @@ func wrappedWriteScenario(mk func(e *sim.Engine, rng *sim.RNG) *Device, seed uin
 		if mode == writeReference {
 			return d.referenceWritePage(v, slot, vpn, 1)
 		}
-		return d.WritePage(v, slot, vpn, 1)
+		return writePage(v, d, slot, vpn, 1)
 	}
 	for p := 0; p < 3; p++ {
 		prng := rng.Stream(uint64(p))
@@ -143,19 +143,17 @@ func classOf(vpn int64) zram.ContentClass { return zram.ContentClass(vpn % 3) }
 // limit stalls the writer, and ZRAM whose pool spills to a backing SSD.
 var wrappedDevices = []struct {
 	name, covers string // covers is a stat the scenario must move
-	mk           func(e *sim.Engine, rng *sim.RNG) *Device
+	mk           func(e *sim.Engine, rng *sim.RNG, plan Plan) *Device
 }{
-	{"ssd", "WriteStalls", func(e *sim.Engine, rng *sim.RNG) *Device {
-		return Wrap(smallSSD(e, rng.Stream(1)), wrapPlan(2), nil, rng.Stream(2))
+	{"ssd", "WriteStalls", func(e *sim.Engine, rng *sim.RNG, plan Plan) *Device {
+		return Wrap(smallSSD(e, rng.Stream(1)), plan, nil, rng.Stream(2))
 	}},
-	{"zram-stall", "PoolStalls", func(e *sim.Engine, rng *sim.RNG) *Device {
-		plan := wrapPlan(2)
+	{"zram-stall", "PoolStalls", func(e *sim.Engine, rng *sim.RNG, plan Plan) *Device {
 		plan.ZRAM = ZRAMPressureConfig{MemLimitBytes: 8 << 10, StallDelay: 40 * sim.Microsecond}
 		z := swap.NewZRAM(swap.DefaultZRAMConfig(), rng.Stream(1), classOf)
 		return Wrap(z, plan, nil, rng.Stream(2))
 	}},
-	{"zram-writeback", "WritebackPages", func(e *sim.Engine, rng *sim.RNG) *Device {
-		plan := wrapPlan(2)
+	{"zram-writeback", "WritebackPages", func(e *sim.Engine, rng *sim.RNG, plan Plan) *Device {
 		plan.ZRAM = ZRAMPressureConfig{MemLimitBytes: 8 << 10, Writeback: true}
 		z := swap.NewZRAM(swap.DefaultZRAMConfig(), rng.Stream(1), classOf)
 		return Wrap(z, plan, smallSSD(e, rng.Stream(3)), rng.Stream(2))
@@ -163,14 +161,14 @@ var wrappedDevices = []struct {
 }
 
 // TestWrappedWriteMatchesReference holds the wrapped writes to the
-// blocking reference writes: procs writing through WritePage, or running
+// blocking reference writes: procs writing through writePage, or running
 // suspended and writing through WriteStep, log the same writes, errors,
 // times, stats, injections and trace as procs writing through
 // referenceWritePage, on every wrapped medium.
 func TestWrappedWriteMatchesReference(t *testing.T) {
 	for _, dv := range wrappedDevices {
 		for seed := uint64(1); seed <= 4; seed++ {
-			want := wrappedWriteScenario(dv.mk, seed, writeReference)
+			want := wrappedWriteScenario(dv.mk, wrapPlan(2), seed, writeReference)
 			if !strings.Contains(want, "err=<nil>") {
 				t.Fatalf("%s seed %d: the scenario failed:\n%s", dv.name, seed, want)
 			}
@@ -183,12 +181,40 @@ func TestWrappedWriteMatchesReference(t *testing.T) {
 				}
 			}
 			for _, mode := range []int{writeBlocking, writeStepped} {
-				if got := wrappedWriteScenario(dv.mk, seed, mode); got != want {
+				if got := wrappedWriteScenario(dv.mk, wrapPlan(2), seed, mode); got != want {
 					t.Errorf("%s seed %d mode %d: log differs from the reference writes':\n%s", dv.name, seed, mode, firstDiff(got, want))
 				}
 			}
 		}
 	}
+}
+
+// FuzzWrappedWriteMatchesReference runs wrappedWriteScenario at a fuzzed
+// seed, medium and plan, and requires procs writing through writePage,
+// or running suspended and writing through WriteStep, to log the same
+// writes, errors, times, stats, injections and trace as procs writing
+// through referenceWritePage. medium picks the wrapped medium (SSD, ZRAM
+// with pool stall, ZRAM with pool writeback); the low three bits of storm
+// set the storm rate (0 turns storms off) and the next two the share of
+// stall storms; retries and errPct set the write-error retry budget and
+// probability (0 flips no coin).
+func FuzzWrappedWriteMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0x14), uint8(2), uint8(30))
+	f.Add(uint64(7), uint8(1), uint8(0), uint8(0), uint8(100))
+	f.Add(uint64(3), uint8(2), uint8(0x1f), uint8(5), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, medium, storm, retries, errPct uint8) {
+		plan := wrapPlan(int(retries % 6))
+		plan.Storms.Rate = float64(storm&7) * 250
+		plan.Storms.StallProb = float64(storm>>3&3) / 3
+		plan.WriteErrors.Prob = float64(errPct%101) / 100
+		mk := wrappedDevices[int(medium)%len(wrappedDevices)].mk
+		want := wrappedWriteScenario(mk, plan, seed, writeReference)
+		for _, mode := range []int{writeBlocking, writeStepped} {
+			if got := wrappedWriteScenario(mk, plan, seed, mode); got != want {
+				t.Fatalf("mode %d: log differs from the reference writes':\n%s", mode, firstDiff(got, want))
+			}
+		}
+	})
 }
 
 // firstDiff renders the first line where got and want differ.

@@ -83,14 +83,6 @@ func (d *flakyDevice) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version ui
 	return nil
 }
 
-func (d *flakyDevice) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	w := swap.WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if d.WriteStep(v, &w) {
-		v.Suspend(func() bool { return d.WriteStep(v, &w) })
-	}
-	return w.Err
-}
-
 func (d *flakyDevice) WriteStep(v *sim.Env, w *swap.WriteWalk) bool {
 	if w.At == 0 {
 		if d.panicWrites[w.Slot] {
@@ -215,11 +207,12 @@ func TestPageOutError(t *testing.T) {
 	dev.failWrites[9] = true
 	dev.failWrites[10] = true
 	h.run(t, func(v *sim.Env) {
-		h.cache.PageOut(v, 9)
-		// The same page-out as the step an eviction carries.
-		w := h.cache.BeginPageOut(10)
-		if h.cache.PageOutStep(v, &w) {
-			v.Suspend(func() bool { return h.cache.PageOutStep(v, &w) })
+		// The page-out step an eviction carries.
+		for _, vpn := range []pagetable.VPN{9, 10} {
+			w := h.cache.BeginPageOut(vpn)
+			if h.cache.PageOutStep(v, &w) {
+				v.Suspend(func() bool { return h.cache.PageOutStep(v, &w) })
+			}
 		}
 	})
 	st := h.cache.Stats()

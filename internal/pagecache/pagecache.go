@@ -251,6 +251,8 @@ type Cache struct {
 
 	// extents is flushPass's extent list, reused across passes.
 	extents []extent
+	// writes runs the flusher's writes (PageOutStep).
+	writes sim.Stepper[swap.WriteWalk]
 
 	tr      *telemetry.Tracer
 	trTrack telemetry.TrackID // the cache's own degradation-event lane
@@ -269,6 +271,7 @@ func New(cfg Config, eng *sim.Engine, table *pagetable.Table, memry *mem.Memory,
 	dev swap.Device, files []FileSpan) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{cfg: cfg, eng: eng, table: table, memry: memry, dev: dev}
+	c.writes.Step = c.PageOutStep
 	spans := append([]FileSpan(nil), files...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Base < spans[j].Base })
 	for i, s := range spans {
@@ -526,28 +529,20 @@ func (c *Cache) RecordEviction(vpn pagetable.VPN) {
 	c.shadows++
 }
 
-// PageOut writes a dirty page back at eviction time (reclaim reached it
-// before the flusher). The write is scheduled on the backing device with
-// its usual asynchronous semantics; the calling proc may block on
-// writeback backpressure. A write the device fails lands in the file's
-// error ledger instead of failing reclaim.
-func (c *Cache) PageOut(v *sim.Env, vpn pagetable.VPN) {
-	w := c.BeginPageOut(vpn)
-	c.writePage(v, w.Slot, w.VPN)
-}
-
-// BeginPageOut accounts a page-out of vpn and returns the write that
-// PageOutStep runs.
+// BeginPageOut accounts a page-out of vpn, a dirty page that reclaim
+// reached before the flusher, and returns the write that PageOutStep
+// runs.
 func (c *Cache) BeginPageOut(vpn pagetable.VPN) swap.WriteWalk {
 	c.stats.PageOuts++
 	return swap.WriteWalk{Slot: c.mustSlot(vpn), VPN: int64(vpn)}
 }
 
-// PageOutStep is PageOut's write as a resumable step, for a proc running
-// suspended: it runs the device write w (from BeginPageOut) until the
-// write parks the proc, and then reports true; the caller calls it again
-// with the same w once the proc is continued. It reports false when the
-// page-out is over, its error absorbed as writePage absorbs it.
+// PageOutStep is the cache's one write to the backing device, reclaim's
+// page-out (w from BeginPageOut) and the flusher's writeback alike: it
+// runs the device write w until the write parks the proc, and then
+// reports true; the caller calls it again with the same w once the proc
+// is continued. It reports false when the write is over, a device error
+// absorbed into the file's error ledger instead of failing the writer.
 func (c *Cache) PageOutStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
 	if c.dev.WriteStep(v, w) {
 		return true
@@ -556,9 +551,15 @@ func (c *Cache) PageOutStep(v *sim.Env, w *swap.WriteWalk) (parked bool) {
 	return false
 }
 
-// writePage issues one writeback write and absorbs its error.
+// writePage issues one writeback write and runs it to the end, continuing
+// it inline (sim.Env.Suspend) if it parks.
 func (c *Cache) writePage(v *sim.Env, slot swap.Slot, vpn int64) {
-	c.absorb(slot, vpn, c.dev.WritePage(v, slot, vpn, 0))
+	w := c.writes.Get()
+	w.W = swap.WriteWalk{Slot: slot, VPN: vpn}
+	if c.PageOutStep(v, &w.W) {
+		c.writes.Suspend(v, w)
+	}
+	c.writes.Put(w)
 }
 
 // absorb takes a writeback write's hard injected error into the owning

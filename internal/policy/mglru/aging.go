@@ -28,11 +28,14 @@ import (
 // Age runs the walk of AgeStep, continuing it inline (sim.Env.Suspend)
 // each time it parks.
 func (g *MGLRU) Age(v *sim.Env) bool {
-	var w policy.AgeWalk
-	if g.AgeStep(v, &w) {
-		g.ages.Continue(v, &w)
+	c := g.ages.Get()
+	c.W = policy.AgeWalk{}
+	if g.AgeStep(v, &c.W) {
+		g.ages.Suspend(v, c)
 	}
-	return w.Worked
+	worked := c.W.Worked
+	g.ages.Put(c)
+	return worked
 }
 
 // The points of a walk, in AgeWalk.At. Each is where the walk goes on

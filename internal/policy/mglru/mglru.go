@@ -38,7 +38,7 @@ type MGLRU struct {
 	lock policy.LRULock
 
 	// reclaims runs Reclaim's passes, whose cursors reclaimStep hands on
-	// to the kernel's EvictStep; ages continues Age's parked walks.
+	// to the kernel's EvictStep; ages runs Age's walks.
 	reclaims sim.Stepper[reclaimWalk]
 	ages     sim.Stepper[policy.AgeWalk]
 

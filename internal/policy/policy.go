@@ -39,10 +39,11 @@ type Kernel interface {
 	Table() *pagetable.Table
 	// RMap exposes the reverse map (and its walk cost model).
 	RMap() *rmap.Map
-	// EvictPage unmaps the page held by frame f, writes it to swap as
-	// needed, records sh for refault classification, and frees the frame.
-	// The policy must have removed f from its lists first. May block on
-	// writeback backpressure.
+	// EvictPage unmaps the page held by frame f, writes it back as
+	// needed (an anon page to the swap device, a dirty file page to the
+	// page cache's file device), records sh for refault classification,
+	// and frees the frame. The policy must have removed f from its lists
+	// first. May block on writeback backpressure.
 	EvictPage(v *sim.Env, f mem.FrameID, sh Shadow)
 	// EvictStep is EvictPage as a resumable eviction, for a proc running
 	// suspended (sim.Env.Suspend). It runs the eviction w until it parks

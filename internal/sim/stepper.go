@@ -3,13 +3,10 @@ package sim
 // Stepper drives a resumable step (Env.Suspend) for the blocking call
 // built on it. Its cursors live on the heap, each with the continuation
 // that steps it, made once and reused, so the blocking call allocates
-// nothing whether or not its step parks. A step that hands its cursor on
-// through an interface method would move a cursor on the caller's stack
-// to the heap on every call; its blocking call runs the step on a
-// Stepper cursor from the start (Get, then Suspend if the step parks,
-// then Put). Any other blocking call runs its step on a stack cursor and
-// only moves it to a Stepper cursor if it parks (Continue). Set Step
-// before the first call. A Stepper belongs to one engine's procs.
+// nothing whether or not its step parks. The blocking call runs the step
+// on a Stepper cursor from the start: Get, then Suspend if the step
+// parks, then Put. Set Step before the first call. A Stepper belongs to
+// one engine's procs.
 type Stepper[T any] struct {
 	// Step runs the cursor w until it parks the proc, and then reports
 	// true, or until it is over.
@@ -40,17 +37,6 @@ func (s *Stepper[T]) Get() *Cursor[T] {
 
 // Put keeps c for a later Get.
 func (s *Stepper[T]) Put(c *Cursor[T]) { s.free = append(s.free, c) }
-
-// Continue goes on with a step that parked the proc while running the
-// caller's cursor *w: it moves the cursor to the heap, continues the step
-// inline (Env.Suspend) until it is over, and copies the cursor back.
-func (s *Stepper[T]) Continue(v *Env, w *T) {
-	c := s.Get()
-	c.W = *w
-	s.Suspend(v, c)
-	*w = c.W
-	s.Put(c)
-}
 
 // Suspend continues the step that parked the proc while running c.W
 // inline (Env.Suspend) until it is over.

@@ -5,6 +5,16 @@ import (
 	"mglrusim/internal/telemetry"
 )
 
+// writePage is a blocking write through d.WriteStep: the step runs on
+// the proc's stack, and continues inline (sim.Env.Suspend) if it parks.
+func writePage(v *sim.Env, d Device, slot Slot, vpn int64, version uint32) error {
+	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
+	if d.WriteStep(v, &w) {
+		v.Suspend(func() bool { return d.WriteStep(v, &w) })
+	}
+	return w.Err
+}
+
 // referenceWritePage is the SSD write as a plain blocking call: the
 // backpressure wait is a blocking Wait that resumes the caller's own
 // coroutine. It is the reference the resumable write is held to

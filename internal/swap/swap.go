@@ -94,19 +94,19 @@ type TracerSetter interface {
 }
 
 // Device is a swap medium. ReadPage is the demand-fault path and always
-// blocks the calling proc for the device's service time. WritePage is the
-// reclaim path; depending on the medium it may be asynchronous (SSD
-// writeback) or synchronous CPU work (ZRAM compression).
+// blocks the calling proc for the device's service time. WriteStep is the
+// write, for reclaim and for the page cache's flusher; depending on the
+// medium it may be asynchronous (SSD writeback) or synchronous CPU work
+// (ZRAM compression).
 //
-// The three I/O methods return an error for an I/O that failed past any
+// The three I/O methods report an error for an I/O that failed past any
 // retry (only a fault-plane wrapper ever fails one); the caller decides
 // whether that fails the trial or degrades. The media themselves always
-// return nil.
+// report nil.
 type Device interface {
 	Name() string
 	ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error
-	WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error
-	// WriteStep is WritePage as a resumable write, for a proc running
+	// WriteStep is the write as a resumable step, for a proc running
 	// suspended (sim.Env.Suspend). It runs the write w until the write
 	// parks the proc, and then reports true; the caller calls it again
 	// with the same w once the proc is continued. It reports false when
@@ -124,8 +124,8 @@ type Device interface {
 	Stats() Stats
 }
 
-// WriteWalk is the cursor of a resumable page write (Device.WriteStep).
-// The caller sets Slot, VPN and Version and zeroes the rest; Err is the
+// WriteWalk is the cursor of a device's one write, Device.WriteStep. The
+// caller sets Slot, VPN and Version and zeroes the rest; Err is the
 // write's result. The other fields are the devices' own record of where
 // the write stopped: At and Stall are the medium's, the rest a wrapping
 // device's, which hands the same cursor on to the medium it wraps.
@@ -179,7 +179,6 @@ type SSD struct {
 	inWrite int
 	wcond   sim.Cond
 	stats   Stats
-	writes  sim.Stepper[WriteWalk] // continues WritePage's parked writes
 	// completeWrite is writeDone as a callback, made once.
 	completeWrite func()
 	tr            *telemetry.Tracer
@@ -205,7 +204,6 @@ func NewSSD(cfg SSDConfig, eng *sim.Engine, rng *sim.RNG) *SSD {
 		cfg.MaxDirtyWrites = 1
 	}
 	d := &SSD{cfg: cfg, eng: eng, rng: rng, servers: make([]sim.Time, cfg.QueueDepth)}
-	d.writes.Step = d.WriteStep
 	d.completeWrite = d.writeDone
 	return d
 }
@@ -248,26 +246,15 @@ func (d *SSD) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
 	return nil
 }
 
-// WritePage implements Device: the write is submitted asynchronously, but
-// the caller blocks first if too many writebacks are already in flight —
-// this is the reclaim backpressure that can stall eviction under thrash.
-// It runs the write of WriteStep, continuing it inline (sim.Env.Suspend)
-// if it parks.
-func (d *SSD) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
-	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if d.WriteStep(v, &w) {
-		d.writes.Continue(v, &w)
-	}
-	return w.Err
-}
-
 // The points of an SSD write, in WriteWalk.At.
 const (
 	ssdStart = iota // open the stall span if the write has to wait
 	ssdWait         // wait out the writeback window, then submit
 )
 
-// WriteStep implements Device: WritePage as a resumable write.
+// WriteStep implements Device: the write is submitted asynchronously, but
+// the writer parks first if too many writebacks are already in flight —
+// this is the reclaim backpressure that can stall eviction under thrash.
 func (d *SSD) WriteStep(v *sim.Env, w *WriteWalk) (parked bool) {
 	if w.At == ssdStart {
 		if d.tr != nil && d.inWrite >= d.cfg.MaxDirtyWrites {
@@ -353,13 +340,12 @@ type ClassFn func(vpn int64) zram.ContentClass
 // compresses on the reclaiming thread. This is what couples swap speed to
 // CPU contention for this medium.
 type ZRAM struct {
-	cfg    ZRAMConfig
-	rng    *sim.RNG
-	store  *zram.Store
-	class  ClassFn
-	stats  Stats
-	writes sim.Stepper[WriteWalk] // continues WritePage's parked writes
-	tr     *telemetry.Tracer
+	cfg   ZRAMConfig
+	rng   *sim.RNG
+	store *zram.Store
+	class ClassFn
+	stats Stats
+	tr    *telemetry.Tracer
 }
 
 // SetTracer implements TracerSetter: [de]compression windows become spans
@@ -375,9 +361,7 @@ func NewZRAM(cfg ZRAMConfig, rng *sim.RNG, class ClassFn) *ZRAM {
 	if class == nil {
 		class = func(int64) zram.ContentClass { return zram.ClassStructured }
 	}
-	d := &ZRAM{cfg: cfg, rng: rng, store: zram.NewStore(cfg.PageSize), class: class}
-	d.writes.Step = d.WriteStep
-	return d
+	return &ZRAM{cfg: cfg, rng: rng, store: zram.NewStore(cfg.PageSize), class: class}
 }
 
 // Name implements Device.
@@ -405,26 +389,16 @@ func (d *ZRAM) ReadPage(v *sim.Env, slot Slot, vpn int64, version uint32) error 
 	return nil
 }
 
-// WritePage implements Device: compression burns CPU on the caller and the
-// compressed size is measured with the real compressor, run once per
-// distinct page content per process (zram.Store memoizes sizes). It runs
-// the write of WriteStep, continuing it inline (sim.Env.Suspend) if the
-// charge parks.
-func (d *ZRAM) WritePage(v *sim.Env, slot Slot, vpn int64, version uint32) error {
-	w := WriteWalk{Slot: slot, VPN: vpn, Version: version}
-	if d.WriteStep(v, &w) {
-		d.writes.Continue(v, &w)
-	}
-	return w.Err
-}
-
 // The points of a ZRAM write, in WriteWalk.At.
 const (
 	zramStart   = iota // compress and charge
 	zramCharged        // the charge is over
 )
 
-// WriteStep implements Device: WritePage as a resumable write.
+// WriteStep implements Device: compression burns CPU on the writer and
+// the compressed size is measured with the real compressor, run once per
+// distinct page content per process (zram.Store memoizes sizes). The
+// write parks if the charge does.
 func (d *ZRAM) WriteStep(v *sim.Env, w *WriteWalk) (parked bool) {
 	if w.At != zramStart {
 		return false

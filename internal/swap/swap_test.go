@@ -172,7 +172,7 @@ func TestSSDWriteIsAsynchronous(t *testing.T) {
 	d := NewSSD(cfg, e, sim.NewRNG(1))
 	var afterSubmit, afterDrain sim.Time
 	e.Spawn("writer", false, func(v *sim.Env) {
-		d.WritePage(v, 0, 1, 0)
+		writePage(v, d, 0, 1, 0)
 		afterSubmit = v.Now()
 		d.Drain(v)
 		afterDrain = v.Now()
@@ -194,8 +194,8 @@ func TestSSDWriteBackpressure(t *testing.T) {
 	d := NewSSD(cfg, e, sim.NewRNG(1))
 	var second sim.Time
 	e.Spawn("writer", false, func(v *sim.Env) {
-		d.WritePage(v, 0, 1, 0) // fills the writeback window
-		d.WritePage(v, 1, 2, 0) // must wait for first completion
+		writePage(v, d, 0, 1, 0) // fills the writeback window
+		writePage(v, d, 1, 2, 0) // must wait for first completion
 		second = v.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -231,7 +231,7 @@ func TestZRAMWriteStoresCompressed(t *testing.T) {
 	d := NewZRAM(ZRAMConfig{ReadLatency: 20 * sim.Microsecond, WriteLatency: 35 * sim.Microsecond, PageSize: 4096}, sim.NewRNG(1),
 		func(vpn int64) zram.ContentClass { return zram.ClassZeroHeavy })
 	e.Spawn("writer", false, func(v *sim.Env) {
-		d.WritePage(v, 3, 100, 0)
+		writePage(v, d, 3, 100, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

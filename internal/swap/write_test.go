@@ -14,7 +14,7 @@ import (
 // How a writeScenario's procs write.
 const (
 	writeReference = iota // blocking referenceWritePage
-	writeBlocking         // WritePage
+	writeBlocking         // writePage, blocking through WriteStep
 	writeStepped          // suspended, through WriteStep
 )
 
@@ -40,7 +40,7 @@ func writeScenario(mk func(e *sim.Engine, rng *sim.RNG) Device, seed uint64, mod
 				return d.referenceWritePage(v, slot, vpn, 1)
 			}
 		}
-		return d.WritePage(v, slot, vpn, 1)
+		return writePage(v, d, slot, vpn, 1)
 	}
 	for p := 0; p < 3; p++ {
 		prng := rng.Stream(uint64(p))
@@ -137,7 +137,7 @@ var writeDevices = []struct {
 }
 
 // TestWriteMatchesReference holds the media's writes to the blocking
-// reference writes: procs writing through WritePage, or running
+// reference writes: procs writing through writePage, or running
 // suspended and writing through WriteStep, log the same writes, times,
 // stats and trace as procs writing through referenceWritePage.
 func TestWriteMatchesReference(t *testing.T) {
